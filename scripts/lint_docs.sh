@@ -50,8 +50,8 @@ for doc in "${docs[@]}"; do
       # host_corun / multi_tenant / serve_churn / serve_slo are listed
       # explicitly:
       # host_*, multi_*, and serve_* would false-positive on non-benchmark
-      # tokens like host_replay, host_logical_cores, multi_team_capacity,
-      # or serve_job (docs prose).
+      # tokens like host_logical_cores, multi_team_capacity, or serve_job
+      # (docs prose).
       # serve_slo is exact: serve_slo_* names the bench's JSON metrics
       # (e.g. serve_slo_misses_total is a service counter, not a bench).
       fig[0-9]*|table[0-9]*|ext_*|micro_*|ablation*|host_corun*|multi_tenant*|serve_churn*|serve_slo|serve_cluster*|deep_models*|obs_overhead*)

@@ -217,11 +217,6 @@ const AdmissionPolicy::GraphBinding& AdmissionPolicy::bind(std::size_t t,
 
 // ---- tenant population ---------------------------------------------------
 
-void AdmissionPolicy::configure_tenants(std::size_t count,
-                                        const std::vector<double>& weights) {
-  configure_tenants(TenantSet::slots(count, weights));
-}
-
 void AdmissionPolicy::configure_tenants(const TenantSet& set) {
   const std::size_t count = set.ids.size();
   if (!set.weights.empty() && set.weights.size() != count) {
@@ -247,7 +242,6 @@ void AdmissionPolicy::configure_tenants(const TenantSet& set) {
     if (set.floors[t] > 0) floors_[t] = set.floors[t];
   }
   service_.assign(count, 0.0);
-  explicitly_configured_ = true;
   if (set.preserve_service) {
     for (std::size_t t = 0; t < count; ++t) {
       const auto it = retained_service_.find(set.ids[t]);
@@ -279,30 +273,17 @@ void AdmissionPolicy::retire_tenant(std::size_t id) {
 
 void AdmissionPolicy::ensure_tenants(std::size_t count) {
   if (service_.size() == count) return;
-  if (!explicitly_configured_) {
-    // Implicit population (single-tenant and raw multi entry points):
-    // growing preserves accumulated service, shrinking keeps the larger
-    // ledger (slots beyond `count` are simply not visited).
-    if (service_.size() > count) return;
-    service_.resize(count, 0.0);
-    weights_.resize(count, 1.0);
-    floors_.resize(count, 0);
-    while (slot_ids_.size() < count) slot_ids_.push_back(slot_ids_.size());
-    if (telem_.reg != nullptr) rebuild_deficit_gauges();
-    return;
-  }
-  // A population of a DIFFERENT size was explicitly configured and this
-  // caller is not using it: reset to the identity population of `count`.
-  // Without this, a legacy single-tenant call after a larger
-  // configure_tenants inherited the departed configuration's deficits,
-  // weights, and slot->stable-id mapping (and charged tenant 0's work to
-  // whatever job id happened to hold slot 0).
+  // A caller that skipped configure_tenants, or walks a population of a
+  // different size than the configured one, runs against a fresh identity
+  // population of `count`. It must never inherit a departed configuration's
+  // deficits, weights, or slot->stable-id mapping (which would charge slot
+  // 0's work to whatever job id happened to hold slot 0); the id-keyed
+  // retained ledger is left alone.
   service_.assign(count, 0.0);
   weights_.assign(count, 1.0);
   floors_.assign(count, 0);
   slot_ids_.resize(count);
   for (std::size_t t = 0; t < count; ++t) slot_ids_[t] = t;
-  explicitly_configured_ = false;
   if (telem_.reg != nullptr) rebuild_deficit_gauges();
 }
 
@@ -418,17 +399,9 @@ bool AdmissionPolicy::bad_pair_with_running(
   // Callers pass slot indices; the record is keyed by stable ids.
   const ArenaOp op = lookup_arena(key.key);
   if (op == kNoArenaOp) return false;  // never interned: never recorded
-  const TenantArenaOp mine{stable_id(key.tenant), op};
-  for (const RunningOpView& r : running) {
-    const ArenaOp rop = lookup_arena(r.key);
-    if (rop == kNoArenaOp) continue;
-    const TenantArenaOp other{stable_id(r.tenant), rop};
-    const auto pair = mine < other ? std::make_pair(mine, other)
-                                   : std::make_pair(other, mine);
-    if (std::binary_search(bad_pairs_.begin(), bad_pairs_.end(), pair))
-      return true;
-  }
-  return false;
+  RunningScratch resolved;
+  resolve_running(running, resolved);
+  return bad_pair_with(TenantArenaOp{stable_id(key.tenant), op}, resolved.ops);
 }
 
 void AdmissionPolicy::record_interference(
@@ -442,14 +415,6 @@ void AdmissionPolicy::record_interference(
     insert_bad_pair(mine,
                     TenantArenaOp{stable_id(other.tenant), intern(other.key)});
   }
-}
-
-void AdmissionPolicy::record_interference(const OpKey& completed,
-                                          const std::vector<OpKey>& corunners) {
-  std::vector<TenantOpKey> qualified;
-  qualified.reserve(corunners.size());
-  for (const OpKey& k : corunners) qualified.push_back(TenantOpKey{0, k});
-  record_interference(TenantOpKey{0, completed}, qualified);
 }
 
 void AdmissionPolicy::resolve_running(
@@ -718,39 +683,6 @@ std::optional<MultiAdmissionDecision> AdmissionPolicy::pick_once(
 
 // ---- public entry points -------------------------------------------------
 
-std::optional<AdmissionDecision> AdmissionPolicy::next_launch(
-    const Graph& g, const ReadyQueue& ready, int idle_cores,
-    const std::vector<RunningOpView>& running, AdmissionStats* stats) {
-  const TenantReadyView view{&g, &ready};
-  std::vector<AdmissionStats> per_tenant;
-  const auto d = next_launch_multi({view}, idle_cores, running,
-                                   stats != nullptr ? &per_tenant : nullptr);
-  if (stats != nullptr && !per_tenant.empty()) {
-    stats->cache_hits += per_tenant[0].cache_hits;
-    stats->guard_fallbacks += per_tenant[0].guard_fallbacks;
-  }
-  if (!d.has_value()) return std::nullopt;
-  return d->decision;
-}
-
-std::optional<MultiAdmissionDecision> AdmissionPolicy::next_launch_multi(
-    const std::vector<TenantReadyView>& tenants, int idle_cores,
-    const std::vector<RunningOpView>& running,
-    std::vector<AdmissionStats>* stats) {
-  if (tenants.empty() || idle_cores <= 0) return std::nullopt;
-  if (stats != nullptr) stats->resize(tenants.size());
-  const double t0 = telem_.reg != nullptr ? wall_time_ms() : 0.0;
-  ensure_tenants(tenants.size());
-  resolve_running(running, running_scratch_);
-  // No skips: positions are queue positions verbatim.
-  auto d = pick_once(tenants, idle_cores, running_scratch_, {}, stats);
-  if (telem_.reg != nullptr) {
-    telem_.decisions->inc();
-    telem_.decision_ms->observe(wall_time_ms() - t0);
-  }
-  return d;
-}
-
 std::vector<MultiAdmissionDecision> AdmissionPolicy::next_launch_batch(
     const std::vector<TenantReadyView>& tenants, int idle_cores,
     const std::vector<RunningOpView>& running,
@@ -803,15 +735,6 @@ std::vector<MultiAdmissionDecision> AdmissionPolicy::next_launch_batch(
     telem_.decision_ms->observe(wall_time_ms() - t0);
   }
   return batch;
-}
-
-std::optional<AdmissionDecision> AdmissionPolicy::next_overlay(
-    const Graph& g, const ReadyQueue& ready, int eligible_cores,
-    const std::vector<RunningOpView>& running) {
-  const TenantReadyView view{&g, &ready};
-  const auto d = next_overlay_multi({view}, eligible_cores, running);
-  if (!d.has_value()) return std::nullopt;
-  return d->decision;
 }
 
 std::optional<MultiAdmissionDecision> AdmissionPolicy::next_overlay_multi(

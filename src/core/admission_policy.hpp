@@ -30,8 +30,7 @@
 // one job can neither starve the others nor be starved by them. Learned
 // state (decision cache, interference record) is tenant-qualified: two
 // tenants running the same model learn independently, and cross-tenant bad
-// pairs are representable. The single-tenant entry points are the N=1 case
-// of the multi-tenant walk, so the two cannot diverge.
+// pairs are representable. A single training job is the N=1 population.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +44,8 @@
 
 namespace opsched {
 
-/// Identifies one op of one tenant. Tenant 0 is the implicit tenant of the
-/// single-tenant entry points, so single- and multi-tenant callers share one
-/// learned-state keyspace without aliasing.
+/// Identifies one op of one tenant (a slot index of the configured
+/// population; the policy keys learned state by the slot's stable id).
 struct TenantOpKey {
   std::size_t tenant = 0;
   OpKey key;
@@ -66,7 +64,7 @@ struct RunningOpView {
   OpKey key;
   /// Predicted time until completion, on the controller's timescale.
   double remaining_ms = 0.0;
-  /// Tenant that launched the op (0 on the single-tenant paths).
+  /// Slot of the tenant that launched the op.
   std::size_t tenant = 0;
   /// Cores the op occupies. 0 means "unknown" — the latency-floor
   /// reservation then conservatively treats the tenant as holding nothing.
@@ -85,15 +83,15 @@ struct TenantReadyView {
   const ReadyQueue* ready = nullptr;
 };
 
-/// Tenant population of one co-located step, with STABLE identities. The
-/// run_step_multi(..., weights) entry points identify tenants by their slot
-/// index, which is fine while the tenant set is fixed — but a serving layer
-/// reconfigures the set between steps as jobs arrive, finish, and cancel,
-/// and slot indices then alias across unrelated jobs. A TenantSet instead
-/// gives every slot a caller-chosen stable id (the serving layer passes job
-/// ids): learned state (decision cache, interference record) and the
-/// fairness ledger follow the ID, so a job keeps its history when it shifts
-/// slots and never inherits another job's.
+/// Tenant population of one co-located step, with STABLE identities. Slot
+/// indices are fine identities while the tenant set is fixed — but a
+/// serving layer reconfigures the set between steps as jobs arrive,
+/// finish, and cancel, and slot indices then alias across unrelated jobs.
+/// A TenantSet instead gives every slot a caller-chosen stable id (the
+/// serving layer passes job ids): learned state (decision cache,
+/// interference record) and the fairness ledger follow the ID, so a job
+/// keeps its history when it shifts slots and never inherits another
+/// job's.
 struct TenantSet {
   /// Stable id per slot; must be distinct within one step.
   std::vector<std::size_t> ids;
@@ -112,12 +110,10 @@ struct TenantSet {
   std::vector<int> floors;
   /// Keep each id's accumulated fairness deficit from previous steps
   /// (churn-tolerant co-run: a job shortchanged last step is first in line
-  /// this step). false reproduces the per-step reset of the slot-indexed
-  /// entry points.
+  /// this step). false resets every slot's deficit at step start.
   bool preserve_service = true;
 
-  /// The slot-indexed population the legacy entry points use: ids 0..n-1,
-  /// per-step service reset.
+  /// The slot-indexed population: ids 0..n-1, per-step service reset.
   static TenantSet slots(std::size_t count,
                          const std::vector<double>& weights = {});
 };
@@ -152,10 +148,11 @@ struct MultiAdmissionDecision {
 };
 
 /// Lifetime: keeps a reference to `controller`, which must outlive it.
-/// Thread-safety: NOT thread-safe — next_launch/record_interference mutate
-/// the learned state, so each executor drives its own policy instance from
-/// one thread at a time (both CorunScheduler and HostCorunExecutor make
-/// their scheduling decisions on a single dispatcher thread).
+/// Thread-safety: NOT thread-safe — the admission walks and
+/// record_interference mutate the learned state, so each executor drives
+/// its own policy instance from one thread at a time (both CorunScheduler
+/// and HostCorunExecutor make their scheduling decisions on a single
+/// dispatcher thread).
 class AdmissionPolicy {
  public:
   /// Idle-core threshold below which Strategy 4 considers the machine full
@@ -169,20 +166,15 @@ class AdmissionPolicy {
                   RuntimeOptions options)
       : controller_(controller), options_(options) {}
 
-  /// Declares the tenant population for a multi-tenant step and resets the
-  /// fairness ledger. `weights` are relative service shares (missing or
-  /// non-positive entries default to 1.0); weight 2 means "twice the claim
-  /// on contended cores". Executors call this at multi-step start so every
-  /// step's fairness race begins from zero; learned state is untouched.
-  void configure_tenants(std::size_t count,
-                         const std::vector<double>& weights = {});
-
-  /// Stable-identity form: slot t carries id set.ids[t]. Learned state and
-  /// the persistent fairness ledger are keyed by these ids, so a
-  /// reconfigured tenant set (jobs arriving/finishing between steps) keeps
-  /// every continuing job's history and deficit. Throws
-  /// std::invalid_argument on duplicate ids or a size mismatch with
-  /// non-empty weights.
+  /// Declares the tenant population of a co-located step: slot t carries
+  /// stable id set.ids[t] with relative service share set.weights[t]
+  /// (missing or non-positive entries default to 1.0; weight 2 means "twice
+  /// the claim on contended cores"). Learned state and the persistent
+  /// fairness ledger are keyed by these ids, so a reconfigured tenant set
+  /// (jobs arriving/finishing between steps) keeps every continuing job's
+  /// history and deficit; TenantSet::slots gives the per-step-reset
+  /// slot-indexed population. Throws std::invalid_argument on duplicate ids
+  /// or a size mismatch with non-empty weights.
   void configure_tenants(const TenantSet& set);
 
   /// Forgets everything keyed to stable id `id`: its fairness deficit, its
@@ -192,63 +184,45 @@ class AdmissionPolicy {
   /// not grow with the total number of jobs ever served.
   void retire_tenant(std::size_t id);
 
-  /// One Strategy-3 pick (or the serial/heavy fallback when Strategy 3 is
-  /// off or nothing fits): walks `ready` in arrival order and returns the
-  /// first admissible launch, or nullopt when the caller should wait for a
-  /// completion instead. `idle_cores` is the count of unoccupied cores;
-  /// `running` snapshots the in-flight ops. Stats (cache hits, Strategy-2
-  /// guard fallbacks) accumulate into `stats` when non-null.
-  std::optional<AdmissionDecision> next_launch(
-      const Graph& g, const ReadyQueue& ready, int idle_cores,
-      const std::vector<RunningOpView>& running,
-      AdmissionStats* stats = nullptr);
-
-  /// The multi-tenant form of next_launch: visits tenants in
-  /// weighted-deficit order (least accumulated weighted service first) and
-  /// runs the Strategy-3 candidate walk on each tenant's queue until one
-  /// yields an admissible launch. Charges the winning tenant's service
-  /// ledger. The heavy fallback applies only when the machine is empty and
-  /// NO tenant had an admissible candidate. `stats`, when non-null, is
-  /// resized to the tenant count and entry t accumulates the counters
+  /// The Strategy-3 admission walk: up to `max_launches` admissible
+  /// launches decided against ONE machine snapshot. `idle_cores` is the
+  /// count of unoccupied cores; `running` snapshots the in-flight ops.
+  ///
+  /// Each pick visits tenants in weighted-deficit order (least accumulated
+  /// weighted service first) and walks each tenant's queue in arrival order
+  /// until one yields an admissible launch (or runs the serial pick when
+  /// Strategy 3 is off), charging the winner's service ledger. The heavy
+  /// fallback — the most time-consuming ready op, capped to the idle width —
+  /// applies only when the machine is empty and NO tenant had an admissible
+  /// candidate. An empty result means "wait for a completion".
+  ///
+  /// Decision i models the preceding i-1 picks as already launched (idle
+  /// cores shrink, the picks join the running snapshot at their predicted
+  /// duration) and reports its ready_pos relative to the queue AFTER those
+  /// picks are erased — apply the batch in order. max_launches == 1 is the
+  /// one-decision-per-round walk; larger batches differ from it only
+  /// through snapshot staleness within a batch, which can never change
+  /// numerics, only schedule shape (the determinism contract).
+  ///
+  /// `stats`, when non-null, is resized to the tenant count and entry t
+  /// accumulates the counters (cache hits, Strategy-2 guard fallbacks)
   /// incurred walking tenant t's OWN queue — attribution is per queue, not
   /// per winner, and rounds that end in a wait still count.
-  std::optional<MultiAdmissionDecision> next_launch_multi(
-      const std::vector<TenantReadyView>& tenants, int idle_cores,
-      const std::vector<RunningOpView>& running,
-      std::vector<AdmissionStats>* stats = nullptr);
-
-  /// Batched admission for completion-driven executors: up to
-  /// `max_launches` admissible launches decided against ONE machine
-  /// snapshot, amortizing the per-wake decision cost. Decision i models the
-  /// preceding i-1 picks as already launched (idle cores shrink, the picks
-  /// join the running snapshot at their predicted duration) and reports its
-  /// ready_pos relative to the queue AFTER those picks are erased — apply
-  /// the batch in order. Each pick charges the fairness ledger exactly as
-  /// the one-at-a-time walk does; max_launches == 1 is bit-identical to
-  /// next_launch_multi. The decision stream an executor sees differs from
-  /// calling next_launch_multi per launch only through the snapshot
-  /// staleness within a batch — which can never change numerics, only
-  /// schedule shape (the determinism contract).
   std::vector<MultiAdmissionDecision> next_launch_batch(
       const std::vector<TenantReadyView>& tenants, int idle_cores,
       const std::vector<RunningOpView>& running,
       std::vector<AdmissionStats>* stats, std::size_t max_launches);
 
-  /// One Strategy-4 pick: the smallest ready op (by serial time), admitted
-  /// onto `eligible_cores` spare hyper-thread contexts if it passes the
-  /// interference record and the overlay throughput guard. Returns nullopt
-  /// when no overlay should launch this round.
-  std::optional<AdmissionDecision> next_overlay(
-      const Graph& g, const ReadyQueue& ready, int eligible_cores,
-      const std::vector<RunningOpView>& running);
-
-  /// Multi-tenant overlay pick: the globally smallest ready op across every
-  /// tenant's queue (overlay slots are scavengers — fairness applies only
-  /// to primary cores, so overlays are neither arbitrated by nor charged to
-  /// the service ledger; ties go to the least-served tenant). A smallest op
+  /// One Strategy-4 pick: the globally smallest ready op (by serial time)
+  /// across every tenant's queue, admitted onto `eligible_cores` spare
+  /// hyper-thread contexts if it passes the interference record and the
+  /// overlay throughput guard (overlay slots are scavengers — fairness
+  /// applies only to primary cores, so overlays are neither arbitrated by
+  /// nor charged to the service ledger; ties go to the least-served
+  /// tenant). A smallest op
   /// that forms a recorded bad pair with a running op is skipped and the
   /// next-smallest considered, until a pairable candidate faces the
-  /// throughput guard.
+  /// throughput guard. Returns nullopt when no overlay should launch.
   std::optional<MultiAdmissionDecision> next_overlay_multi(
       const std::vector<TenantReadyView>& tenants, int eligible_cores,
       const std::vector<RunningOpView>& running);
@@ -257,20 +231,12 @@ class AdmissionPolicy {
   /// op (always false when the recorder is disabled).
   bool bad_pair_with_running(const TenantOpKey& key,
                              const std::vector<RunningOpView>& running) const;
-  /// Single-tenant convenience (tenant 0).
-  bool bad_pair_with_running(const OpKey& key,
-                             const std::vector<RunningOpView>& running) const {
-    return bad_pair_with_running(TenantOpKey{0, key}, running);
-  }
 
   /// Records that `completed` co-ran badly with each of `corunners` (paper
   /// Section III-D: "record such cases and avoid co-running such operations
   /// in the future training steps").
   void record_interference(const TenantOpKey& completed,
                            const std::vector<TenantOpKey>& corunners);
-  /// Single-tenant convenience (tenant 0).
-  void record_interference(const OpKey& completed,
-                           const std::vector<OpKey>& corunners);
 
   std::size_t recorded_bad_pairs() const { return bad_pairs_.size(); }
   /// Bad pairs with at least one endpoint owned by `tenant` (a STABLE id —
@@ -394,12 +360,9 @@ class AdmissionPolicy {
   std::size_t stable_id(std::size_t slot) const {
     return slot < slot_ids_.size() ? slot_ids_[slot] : slot;
   }
-  /// Aligns the fairness ledger with a caller that skipped
-  /// configure_tenants (the single-tenant and raw multi entry points).
-  /// Growing an implicit population preserves accumulated service; any
-  /// size mismatch against an EXPLICITLY configured population resets to
-  /// the identity population of `count` — a legacy call must never inherit
-  /// a departed configuration's deficits, weights, or slot→id mapping.
+  /// Aligns the fairness ledger with a walk over `count` tenants: a size
+  /// other than the configured population's (or no configure_tenants call
+  /// at all) resets to the identity population of `count`.
   void ensure_tenants(std::size_t count);
   /// Tenant visit order: latency-critical slots (non-zero floor) before
   /// batch slots, each group in ascending accumulated weighted service,
@@ -460,8 +423,7 @@ class AdmissionPolicy {
       const ReadyQueue& ready, int idle_cores, const RunningScratch& running,
       const std::vector<std::size_t>& skip, AdmissionStats* stats);
 
-  /// One pick of the batch walk (the shared body of next_launch_multi and
-  /// next_launch_batch).
+  /// One pick of the batch walk.
   std::optional<MultiAdmissionDecision> pick_once(
       const std::vector<TenantReadyView>& tenants, int idle_cores,
       const RunningScratch& running,
@@ -496,11 +458,8 @@ class AdmissionPolicy {
   std::vector<double> weights_;
   /// Latency width floor per SLOT (0 = batch tenant); see TenantSet::floors.
   std::vector<int> floors_;
-  /// Stable id per slot (empty/identity for the legacy entry points).
+  /// Stable id per slot (identity for implicit populations).
   std::vector<std::size_t> slot_ids_;
-  /// The current population came from configure_tenants — a later implicit
-  /// ensure_tenants of a different size must reset rather than inherit it.
-  bool explicitly_configured_ = false;
   /// Id-keyed service carried across reconfigurations (TenantSet callers
   /// with preserve_service). charge() mirrors into this; retire_tenant and
   /// non-preserving reconfigures erase.

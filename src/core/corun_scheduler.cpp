@@ -1,236 +1,84 @@
 #include "core/corun_scheduler.hpp"
 
-#include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 namespace opsched {
 
-std::vector<RunningOpView> CorunScheduler::running_views(
-    const SimMachine& machine,
-    const std::vector<const Graph*>& graphs) const {
-  std::vector<RunningOpView> views;
-  views.reserve(machine.running().size());
-  for (const auto& task : machine.running()) {
-    RunningOpView v;
-    const auto it = in_flight_.find(task.id);
-    v.tenant = it != in_flight_.end() ? it->second.tenant : 0;
-    v.key = OpKey::of(graphs[v.tenant]->node(task.node));
-    v.remaining_ms = task.remaining_ms / task.rate;
-    v.threads = static_cast<int>(task.cores.count());
-    views.push_back(v);
-  }
-  return views;
-}
+namespace {
 
-bool CorunScheduler::schedule_round(
-    const std::vector<const Graph*>& graphs, SimMachine& machine,
-    std::vector<ReadyQueue>& ready,
-    const std::vector<TenantReadyView>& tenant_views,
-    std::vector<StepResult>& stats) {
-  const bool s4 = (options_.strategies & kStrategy4) != 0;
-  bool launched_any = false;
+/// Primaries below this memory intensity leave spare core cycles for a
+/// Strategy-4 overlay; memory-bound ones only gain bandwidth pressure.
+constexpr double kComputeBoundCutoff = 0.45;
 
-  const auto record_launch = [&](std::size_t tenant, const Node& node) {
-    // Mirror of the machine's own (global) trace entry, routed to the
-    // launching tenant: same virtual time, same all-tenant co-run level.
-    stats[tenant].trace.record(machine.now_ms(), /*is_launch=*/true, node.id,
-                               node.kind,
-                               static_cast<int>(machine.num_running()));
-  };
+bool is_overlay(LaunchKind kind) { return kind == LaunchKind::kOverlay; }
 
-  // ---- Strategies 1-3 (serial execution when S3 is off) ----
-  for (;;) {
-    CoreSet idle = machine.idle_cores();
-    if (idle.empty()) break;
+/// The simulated machine as a dispatch substrate: virtual clock, one
+/// completion per wait, interference judged against the solo duration.
+class SimSubstrate final : public DispatchSubstrate {
+ public:
+  explicit SimSubstrate(SimMachine& machine) : machine_(machine) {}
 
-    std::vector<AdmissionStats> round_stats;
-    const auto decision =
-        policy_.next_launch_multi(tenant_views, static_cast<int>(idle.count()),
-                                  running_views(machine, graphs),
-                                  &round_stats);
-    // Per-queue attribution, wait rounds included: each tenant's counters
-    // reflect the walk over its own queue, whoever wins the round.
-    for (std::size_t t = 0; t < round_stats.size(); ++t) {
-      stats[t].cache_hits += round_stats[t].cache_hits;
-      stats[t].guard_fallbacks += round_stats[t].guard_fallbacks;
-    }
-    if (!decision.has_value()) break;  // wait for a completion
-    const std::size_t tenant = decision->tenant;
+  std::size_t cores() const override { return machine_.spec().num_cores; }
+  double now_ms() const override { return machine_.now_ms(); }
+  CoreSet idle_cores() const override { return machine_.idle_cores(); }
 
-    const Node& node =
-        graphs[tenant]->node(ready[tenant][decision->decision.ready_pos]);
-    ready[tenant].erase(decision->decision.ready_pos);
-    const bool corun = !machine.quiescent();
-    const Candidate& c = decision->decision.candidate;
-    const auto id = machine.launch(
-        node, c.threads, c.mode,
-        idle.take_lowest(static_cast<std::size_t>(c.threads)));
-    // Remember the owner and co-runners for completion routing and the
-    // interference recorder.
-    Launched rec;
-    rec.tenant = tenant;
-    for (const auto& task : machine.running()) {
-      if (task.id == id) continue;
-      const auto it = in_flight_.find(task.id);
-      const std::size_t other = it != in_flight_.end() ? it->second.tenant : 0;
-      rec.corunners.push_back(
-          TenantOpKey{other, OpKey::of(graphs[other]->node(task.node))});
-    }
-    in_flight_[id] = std::move(rec);
-    record_launch(tenant, node);
-    ++stats[tenant].ops_run;
-    if (corun) ++stats[tenant].corun_launches;
-    launched_any = true;
-  }
-
-  // ---- Strategy 4: hyper-thread overlays ----
-  // Triggered when the machine is (nearly) full — the paper's "an operation
-  // using 68 cores" generalized to any residue too small for Strategy 3.
-  if (s4 && machine.idle_cores().count() <
-                AdmissionPolicy::kOverlayTriggerIdleCores) {
-    for (;;) {
-      // Overlays only pay off on cores whose primary is compute-bound: a
-      // memory-bound primary has no spare core cycles and the overlay only
-      // adds bandwidth pressure.
-      CoreSet eligible = machine.overlayable_cores();
-      {
-        CoreSet compute_bound(eligible.capacity());
-        for (const auto& task : machine.running()) {
-          if (task.launch_kind != LaunchKind::kOverlay &&
-              task.mem_intensity < 0.45) {
-            compute_bound = compute_bound.union_with(task.cores);
-          }
-        }
-        eligible = eligible.intersect(compute_bound);
+  CoreSet overlay_cores() const override {
+    CoreSet compute_bound(cores());
+    for (const auto& task : machine_.running()) {
+      if (!is_overlay(task.launch_kind) &&
+          task.mem_intensity < kComputeBoundCutoff) {
+        compute_bound = compute_bound.union_with(task.cores);
       }
-      if (eligible.empty()) break;
+    }
+    return machine_.overlayable_cores().intersect(compute_bound);
+  }
 
-      const auto decision = policy_.next_overlay_multi(
-          tenant_views, static_cast<int>(eligible.count()),
-          running_views(machine, graphs));
-      if (!decision.has_value()) break;
-      const std::size_t tenant = decision->tenant;
-
-      const Node& node =
-          graphs[tenant]->node(ready[tenant][decision->decision.ready_pos]);
-      ready[tenant].erase(decision->decision.ready_pos);
-      const Candidate& c = decision->decision.candidate;
-      const auto id = machine.launch(
-          node, c.threads, c.mode,
-          eligible.take_lowest(static_cast<std::size_t>(c.threads)),
-          LaunchKind::kOverlay);
-      Launched rec;
-      rec.tenant = tenant;
-      rec.overlay = true;
-      for (const auto& task : machine.running()) {
-        if (task.id == id) continue;
-        const auto it = in_flight_.find(task.id);
-        const std::size_t other =
-            it != in_flight_.end() ? it->second.tenant : 0;
-        rec.corunners.push_back(
-            TenantOpKey{other, OpKey::of(graphs[other]->node(task.node))});
-      }
-      in_flight_[id] = std::move(rec);
-      record_launch(tenant, node);
-      ++stats[tenant].ops_run;
-      ++stats[tenant].overlay_launches;
-      ++stats[tenant].corun_launches;
-      launched_any = true;
+  void remaining_ms(std::vector<double>& by_lane) const override {
+    for (const auto& task : machine_.running()) {
+      by_lane[dispatch_lane(task.cores, is_overlay(task.launch_kind))] =
+          task.remaining_ms / task.rate;
     }
   }
 
-  return launched_any;
-}
+  std::optional<DispatchCompletion> launch(const DispatchLaunch& l) override {
+    machine_.launch(*l.node, l.candidate.threads, l.candidate.mode, l.cores,
+                    l.overlay ? LaunchKind::kOverlay : LaunchKind::kExclusive);
+    return std::nullopt;
+  }
+
+  void wait(std::vector<DispatchCompletion>& out) override {
+    // The loop only waits while an op is in flight.
+    const SimMachine::Completion c = machine_.advance().value();
+    out.push_back(
+        DispatchCompletion{dispatch_lane(c.cores, is_overlay(c.launch_kind)),
+                           c.finish_ms, c.actual_ms, c.solo_ms});
+  }
+
+ private:
+  SimMachine& machine_;
+};
+
+}  // namespace
 
 StepResult CorunScheduler::run_step(const Graph& g, SimMachine& machine) {
-  std::vector<StepResult> results = run_step_multi({&g}, machine);
+  std::vector<StepResult> results =
+      run_step_multi({&g}, machine, TenantSet::slots(1));
   return std::move(results.front());
 }
 
 std::vector<StepResult> CorunScheduler::run_step_multi(
     const std::vector<const Graph*>& graphs, SimMachine& machine,
-    const std::vector<double>& weights) {
-  return run_step_multi(graphs, machine,
-                        TenantSet::slots(graphs.size(), weights));
-}
-
-std::vector<StepResult> CorunScheduler::run_step_multi(
-    const std::vector<const Graph*>& graphs, SimMachine& machine,
     const TenantSet& set) {
-  const std::size_t tenants = graphs.size();
-  if (tenants == 0) return {};
-  if (set.ids.size() != tenants) {
-    throw std::invalid_argument(
-        "CorunScheduler::run_step_multi: TenantSet/graphs size mismatch");
-  }
   machine.reset();
   // The machine's own (all-tenant) trace stays a live surface for
   // machine-level consumers (FifoExecutor, sim_machine_test); clearing it
   // here only stops growth across steps. The per-tenant traces returned in
-  // the results are recorded by this scheduler at the same event points.
+  // the results are recorded by the dispatch loop at the same event points.
   machine.trace().clear();
-  in_flight_.clear();
-  policy_.configure_tenants(set);
-
-  std::vector<StepResult> results(tenants);
-  std::vector<ReadyTracker> trackers;
-  trackers.reserve(tenants);
-  std::vector<ReadyQueue> ready(tenants);
-  std::vector<TenantReadyView> tenant_views(tenants);
-  std::size_t remaining_total = 0;
-  for (std::size_t t = 0; t < tenants; ++t) {
-    trackers.emplace_back(*graphs[t]);
-    ready[t].assign(trackers[t].initially_ready().begin(),
-                    trackers[t].initially_ready().end());
-    tenant_views[t] = TenantReadyView{graphs[t], &ready[t]};
-    remaining_total += trackers[t].remaining();
-  }
-  std::vector<double> last_completion(tenants, 0.0);
-
-  while (remaining_total > 0) {
-    schedule_round(graphs, machine, ready, tenant_views, results);
-    const auto comp = machine.advance();
-    if (!comp.has_value()) {
-      throw std::logic_error(
-          "CorunScheduler: deadlock — nothing running but nodes remain");
-    }
-
-    const auto it = in_flight_.find(comp->id);
-    const std::size_t tenant =
-        it != in_flight_.end() ? it->second.tenant : 0;
-
-    // Interference recorder: excessive co-run slowdown marks all pairs.
-    // Overlays are exempt — hyper-thread sharing slows them by design.
-    if (options_.interference_recorder &&
-        comp->actual_ms > comp->solo_ms * options_.interference_bad_ratio) {
-      if (it != in_flight_.end() && !it->second.overlay) {
-        policy_.record_interference(
-            TenantOpKey{tenant,
-                        OpKey::of(graphs[tenant]->node(comp->node))},
-            it->second.corunners);
-      }
-    }
-    if (it != in_flight_.end()) in_flight_.erase(it);
-
-    results[tenant].service_ms += comp->actual_ms;
-    last_completion[tenant] = comp->finish_ms;
-    results[tenant].trace.record(comp->finish_ms, /*is_launch=*/false,
-                                 comp->node,
-                                 graphs[tenant]->node(comp->node).kind,
-                                 static_cast<int>(machine.num_running()));
-
-    std::vector<NodeId> newly;
-    trackers[tenant].mark_done(comp->node, newly);
-    for (NodeId id : newly) ready[tenant].push_back(id);
-    --remaining_total;
-  }
-
-  for (std::size_t t = 0; t < tenants; ++t) {
-    results[t].time_ms = last_completion[t];
-    results[t].mean_corun = results[t].trace.mean_corun();
-  }
-  return results;
+  SimSubstrate substrate(machine);
+  // One decision per round: the simulator's schedules are the reference
+  // the paper's tables are regenerated from.
+  return run_dispatch(policy_, substrate, graphs, set, /*decision_batch=*/1);
 }
 
 }  // namespace opsched

@@ -24,50 +24,21 @@
 // walk arbitrates which tenant's op claims idle cores each round. The
 // single-graph run_step is the N=1 case of the same loop.
 //
-// The decision logic itself lives in AdmissionPolicy, which this scheduler
-// shares with HostCorunExecutor (real threads, real kernels): the simulator
-// and the native host path answer "what runs next, at what width?"
-// identically by construction.
+// The round itself is run_dispatch (core/dispatch.hpp), which this
+// scheduler shares with HostCorunExecutor (real threads, real kernels);
+// the scheduler only adapts the SimMachine to it. The simulator and the
+// native host path answer "what runs next, at what width?" with the same
+// policy AND the same loop, identically by construction.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "core/admission_policy.hpp"
 #include "core/concurrency_controller.hpp"
+#include "core/dispatch.hpp"
 #include "machine/sim_machine.hpp"
 
 namespace opsched {
-
-/// Outcome of one training step — simulated (CorunScheduler, FifoExecutor)
-/// or native (HostCorunExecutor). On the simulated path `time_ms` is
-/// virtual clock time; on the host path it is wall-clock time and
-/// `checksum` carries the deterministic step checksum.
-struct StepResult {
-  double time_ms = 0.0;
-  EventTrace trace;
-  /// Scheduler statistics for the step.
-  std::size_t ops_run = 0;
-  std::size_t corun_launches = 0;    // launches while something else ran
-  std::size_t overlay_launches = 0;  // Strategy 4 overlays
-  std::size_t cache_hits = 0;        // decision-cache reuses
-  std::size_t guard_fallbacks = 0;   // S2 delta-guard rewrites
-  double mean_corun = 0.0;
-  /// Host executors only: deterministic checksum over every node's outputs
-  /// (0.0 on the simulated path, which never touches tensor values).
-  double checksum = 0.0;
-  /// Sum of the completed ops' individual durations (wall on the host path,
-  /// virtual on the simulated one). On the multi-tenant paths this is the
-  /// machine time each tenant actually consumed — the basis of the fairness
-  /// metrics; time_ms is the tenant's makespan, which overlaps with other
-  /// tenants'.
-  double service_ms = 0.0;
-  /// Host executors only: wall time the dispatcher spent INSIDE admission
-  /// decisions this step (building running views + policy calls), i.e. the
-  /// scheduler overhead the micro_dispatch bench divides by time_ms. 0.0 on
-  /// the simulated path, whose decisions take no virtual time.
-  double sched_ms = 0.0;
-};
 
 /// Lifetime: the scheduler keeps a reference to `controller`, which must
 /// outlive it (Runtime owns both and guarantees this; standalone users must
@@ -82,7 +53,7 @@ class CorunScheduler {
  public:
   CorunScheduler(const ConcurrencyController& controller,
                  RuntimeOptions options)
-      : options_(options), policy_(controller, options) {}
+      : policy_(controller, options) {}
 
   /// Runs every node of `g` to completion on `machine` (which is reset
   /// first). Deterministic for fixed inputs.
@@ -90,23 +61,15 @@ class CorunScheduler {
 
   /// Runs N tenants' graphs to completion CO-LOCATED on `machine` (reset
   /// first), ops interleaving across tenants under the weighted-deficit
-  /// admission walk. `weights[t]` is tenant t's relative claim on contended
-  /// cores (missing/non-positive entries default to 1.0). Returns one
-  /// StepResult per tenant, in input order: time_ms is the tenant's
-  /// makespan (virtual step start to its last completion), service_ms the
-  /// machine time its ops consumed, trace its private event log (co-run
-  /// levels count ALL tenants' in-flight ops). Deterministic for fixed
-  /// inputs.
-  std::vector<StepResult> run_step_multi(
-      const std::vector<const Graph*>& graphs, SimMachine& machine,
-      const std::vector<double>& weights = {});
-
-  /// Stable-identity form for churn-tolerant serving: slot t of `graphs`
-  /// carries stable id set.ids[t] (the serving layer passes job ids), so
-  /// learned state and — with set.preserve_service — the fairness deficit
-  /// follow the job across between-step tenant-set reconfigurations. The
-  /// weights overload is this one with TenantSet::slots (ids = slot
-  /// indices, per-step service reset).
+  /// admission walk; slot t of `graphs` carries stable id set.ids[t] (the
+  /// serving layer passes job ids), so learned state and — with
+  /// set.preserve_service — the fairness deficit follow the job across
+  /// between-step tenant-set reconfigurations. TenantSet::slots(n, weights)
+  /// gives the slot-indexed population. Returns one StepResult per tenant,
+  /// in input order: time_ms is the tenant's makespan (virtual step start
+  /// to its last completion), service_ms the machine time its ops consumed,
+  /// trace its private event log (co-run levels count ALL tenants' in-flight
+  /// ops). Deterministic for fixed inputs.
   std::vector<StepResult> run_step_multi(
       const std::vector<const Graph*>& graphs, SimMachine& machine,
       const TenantSet& set);
@@ -131,33 +94,7 @@ class CorunScheduler {
   const AdmissionPolicy& policy() const noexcept { return policy_; }
 
  private:
-  struct Launched {
-    std::size_t tenant = 0;
-    std::vector<TenantOpKey> corunners;
-    /// Overlays slow down by design (hyper-thread sharing); the recorder
-    /// only flags *unexpected* interference, so overlays are exempt.
-    bool overlay = false;
-  };
-
-  /// One scheduling round over every tenant's queue; launches zero or more
-  /// ops. Returns true if at least one launch happened.
-  bool schedule_round(const std::vector<const Graph*>& graphs,
-                      SimMachine& machine,
-                      std::vector<ReadyQueue>& ready,
-                      const std::vector<TenantReadyView>& tenant_views,
-                      std::vector<StepResult>& stats);
-
-  /// Snapshot of machine.running() in the form the policy consumes, with
-  /// each task's owning tenant resolved through in_flight_.
-  std::vector<RunningOpView> running_views(
-      const SimMachine& machine,
-      const std::vector<const Graph*>& graphs) const;
-
-  RuntimeOptions options_;
   AdmissionPolicy policy_;
-  /// Owning tenant and co-runners of each in-flight task at launch (for
-  /// completion routing and the interference recorder).
-  std::map<SimMachine::TaskId, Launched> in_flight_;
 };
 
 }  // namespace opsched

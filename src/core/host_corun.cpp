@@ -32,16 +32,6 @@ double host_mem_intensity(const Node& node) {
 /// eligibility rule.
 constexpr double kComputeBoundCutoff = 0.45;
 
-/// The one place a host StepResult's derived fields are filled in — every
-/// run_step_host* variant (adaptive single, multi-tenant, FIFO) ends here,
-/// so the checksum plumbing cannot drift between them.
-void finalize_step(StepResult& stats, double time_ms,
-                   HostGraphProgram& program) {
-  stats.time_ms = time_ms;
-  stats.mean_corun = stats.trace.mean_corun();
-  stats.checksum = program.step_checksum();
-}
-
 /// Sharded completion posting: one cache-line-aligned slot per launch lane,
 /// so launcher threads finishing concurrently each write their own line and
 /// never contend a shared mutex/deque. A lane has at most one op in flight
@@ -154,202 +144,64 @@ void HostCorunExecutor::attach_observability(obs::Registry* reg,
   policy_.attach_metrics(reg, instance);
 }
 
-StepResult HostCorunExecutor::run_step(HostGraphProgram& program) {
-  std::vector<StepResult> results = run_step_multi({&program});
-  return std::move(results.front());
-}
+/// The host core map as a dispatch substrate: wall clock since step start,
+/// lanes served by LaunchPad launchers posting to a CompletionBoard,
+/// interference judged against the calibrated prediction.
+class HostCorunExecutor::Substrate final : public DispatchSubstrate {
+ public:
+  Substrate(HostCorunExecutor& exec,
+            const std::vector<HostGraphProgram*>& programs)
+      : exec_(exec),
+        programs_(programs),
+        t0_(wall_time_ms()),
+        lanes_(2 * exec.cores_),
+        board_(lanes_.size()),
+        primary_busy_(exec.cores_),
+        overlaid_(exec.cores_),
+        pad_(lanes_.size()) {}
 
-std::vector<StepResult> HostCorunExecutor::run_step_multi(
-    const std::vector<HostGraphProgram*>& programs,
-    const std::vector<double>& weights) {
-  return run_step_multi(programs, TenantSet::slots(programs.size(), weights));
-}
+  std::size_t cores() const override { return exec_.cores_; }
+  double now_ms() const override { return wall_time_ms() - t0_; }
 
-std::vector<StepResult> HostCorunExecutor::run_step_multi(
-    const std::vector<HostGraphProgram*>& programs, const TenantSet& set) {
-  const std::size_t tenants = programs.size();
-  if (tenants == 0) return {};
-  if (set.ids.size() != tenants) {
-    throw std::invalid_argument(
-        "HostCorunExecutor::run_step_multi: TenantSet/programs size "
-        "mismatch");
+  CoreSet idle_cores() const override {
+    return CoreSet::all(exec_.cores_).minus(primary_busy_).minus(overlaid_);
   }
-  policy_.configure_tenants(set);
-  const std::size_t lanes = 2 * cores_;
-  const std::size_t batch_k = std::max<std::size_t>(1, host_.decision_batch);
 
-  // Trace track metadata: one track per tenant×lane (primary + overlay
-  // sub-track per core), named once per population growth.
-  if (trace_ != nullptr && trace_named_tenants_ < tenants) {
-    for (std::size_t t = trace_named_tenants_; t < tenants; ++t) {
-      for (std::size_t c = 0; c < cores_; ++c) {
-        const auto tid = static_cast<std::uint32_t>(t * lanes + 2 * c);
-        const std::string base =
-            "tenant " + std::to_string(t) + " core " + std::to_string(c);
-        trace_->set_track_name(trace_pid_, tid, base);
-        trace_->set_track_name(trace_pid_, tid + 1, base + " ovl");
+  // Gated on a multi-core host: overlays bank on spare hardware contexts
+  // next to a busy primary; on a single-core host there are none and an
+  // overlay is pure oversubscription.
+  CoreSet overlay_cores() const override {
+    CoreSet eligible(exec_.cores_);
+    if (exec_.cores_ < 2) return eligible;
+    for (const Lane& ln : lanes_) {
+      if (ln.live && !ln.overlay &&
+          host_mem_intensity(*ln.node) < kComputeBoundCutoff) {
+        eligible = eligible.union_with(ln.cores);
       }
     }
-    trace_named_tenants_ = tenants;
+    return eligible.minus(overlaid_);
   }
 
-  std::vector<StepResult> results(tenants);
-  const double t0 = wall_time_ms();
-  double sched_total = 0.0;  // dispatcher time inside admission decisions
-
-  // Per-tenant dependency state: private tracker and ready queue per
-  // training job, one shared machine underneath.
-  std::vector<ReadyTracker> trackers;
-  trackers.reserve(tenants);
-  std::vector<ReadyQueue> ready(tenants);
-  std::vector<TenantReadyView> tenant_views(tenants);
-  std::size_t remaining_total = 0;
-  for (std::size_t t = 0; t < tenants; ++t) {
-    trackers.emplace_back(programs[t]->graph());
-    ready[t].assign(trackers[t].initially_ready().begin(),
-                    trackers[t].initially_ready().end());
-    tenant_views[t] = TenantReadyView{&programs[t]->graph(), &ready[t]};
-    remaining_total += trackers[t].remaining();
-  }
-  std::vector<double> last_completion(tenants, t0);
-
-  // Lane-indexed in-flight records (dispatcher-only) and the sharded
-  // completion board (shared with launchers).
-  std::vector<InFlight> inflight(lanes);
-  std::size_t inflight_count = 0;
-  std::size_t consumed = 0;
-  CompletionBoard board(lanes);
-  CoreSet primary_busy(cores_);
-  CoreSet overlaid(cores_);
-
-  // Declared after the state it captures so its destructor joins the
-  // launcher threads first.
-  LaunchPad pad(lanes);
-
-  const auto any_ready = [&] {
-    for (const auto& q : ready) {
-      if (!q.empty()) return true;
-    }
-    return false;
-  };
-
-  // Snapshot of the in-flight ops on the policy's terms. Remaining time is
-  // predicted_ms minus elapsed wall-clock converted back to the
-  // controller's timescale through the learned calibration (1.0 until the
-  // first completion: the guard only compares these values against each
-  // other, so a uniform scale error is harmless).
-  const auto views = [&] {
-    std::vector<RunningOpView> v;
-    v.reserve(inflight_count);
+  // Remaining time is predicted_ms minus elapsed wall-clock converted back
+  // to the controller's timescale through the learned calibration (1.0
+  // until the first completion: the guard only compares these values
+  // against each other, so a uniform scale error is harmless).
+  void remaining_ms(std::vector<double>& by_lane) const override {
     const double now = wall_time_ms();
-    const double calib = calib_ > 0.0 ? calib_ : 1.0;
-    for (const InFlight& fl : inflight) {
-      if (!fl.live) continue;
-      RunningOpView r;
-      r.key = fl.key;
-      r.tenant = fl.tenant;
-      r.op_token = fl.op_token;
-      r.threads = static_cast<int>(fl.cores.count());
-      const double elapsed_model = (now - fl.start_wall_ms) / calib;
-      r.remaining_ms = std::max(0.0, fl.predicted_ms - elapsed_model);
-      v.push_back(r);
+    const double calib = exec_.calib_ > 0.0 ? exec_.calib_ : 1.0;
+    for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
+      const Lane& ln = lanes_[lane];
+      if (!ln.live) continue;
+      const double elapsed_model = (now - ln.start_wall_ms) / calib;
+      by_lane[lane] = std::max(0.0, ln.predicted_ms - elapsed_model);
     }
-    return v;
-  };
+  }
 
-  // Completion bookkeeping, shared by the async and inline paths.
-  const auto complete = [&](std::size_t lane, double end_wall) {
-    InFlight fl = std::move(inflight[lane]);
-    inflight[lane] = InFlight{};
-    --inflight_count;
-    StepResult& stats = results[fl.tenant];
-
-    const double actual_ms = end_wall - fl.start_wall_ms;
-    stats.service_ms += actual_ms;
-    // max, not overwrite: launchers can post completions out of wall-clock
-    // order, and the makespan is the LATEST end this tenant saw.
-    last_completion[fl.tenant] =
-        std::max(last_completion[fl.tenant], end_wall);
-    if (fl.predicted_ms > 0.0) {
-      // Interference is judged against the calibration as it stood BEFORE
-      // this sample: folding the slow sample into the EWMA first would
-      // dilute the 2.5x bad-pair threshold toward unreachable (overlays
-      // exempt — they slow down by design).
-      if (!fl.overlay && !fl.corunners.empty() && calib_ > 0.0) {
-        const double expected_ms = fl.predicted_ms * calib_;
-        if (actual_ms > expected_ms * options_.interference_bad_ratio) {
-          policy_.record_interference(TenantOpKey{fl.tenant, fl.key},
-                                      fl.corunners);
-        }
-      }
-      // Overlays are also excluded from the calibration: they run up to
-      // ~2.5x slow BY DESIGN, and folding that in would inflate every
-      // later expectation (recorder threshold, throughput-guard views).
-      if (!fl.overlay) {
-        const double ratio = actual_ms / fl.predicted_ms;
-        calib_ = calib_ == 0.0
-                     ? ratio
-                     : (1.0 - host_.calibration_alpha) * calib_ +
-                           host_.calibration_alpha * ratio;
-      }
-    }
-
-    if (fl.overlay) {
-      overlaid = overlaid.minus(fl.cores);
-    } else {
-      primary_busy = primary_busy.minus(fl.cores);
-    }
-    stats.trace.record(end_wall - t0, /*is_launch=*/false, fl.node,
-                       programs[fl.tenant]->graph().node(fl.node).kind,
-                       static_cast<int>(inflight_count));
-
-    // One wall-clock span per completed op, on its tenant×lane track.
-    if (trace_ != nullptr) {
-      const Node& node = programs[fl.tenant]->graph().node(fl.node);
-      obs::TraceSpan span;
-      span.name = node.label.empty() ? std::string(op_kind_name(node.kind))
-                                     : node.label;
-      span.cat = fl.overlay ? "op.overlay" : "op";
-      span.pid = trace_pid_;
-      span.tid = static_cast<std::uint32_t>(
-          fl.tenant * lanes + 2 * fl.cores.lowest() + (fl.overlay ? 1 : 0));
-      span.start_ms = fl.start_wall_ms;
-      span.dur_ms = end_wall - fl.start_wall_ms;
-      trace_->span(std::move(span));
-    }
-
-    std::vector<NodeId> newly;
-    trackers[fl.tenant].mark_done(fl.node, newly);
-    for (NodeId nid : newly) ready[fl.tenant].push_back(nid);
-    --remaining_total;
-  };
-
-  const auto launch = [&](std::size_t tenant, std::size_t ready_pos,
-                          const Candidate& c, const CoreSet& span,
-                          bool overlay, std::uint32_t op_token) {
-    HostGraphProgram& program = *programs[tenant];
-    StepResult& stats = results[tenant];
-    const double l0 = metrics_ != nullptr ? wall_time_ms() : 0.0;
-    const NodeId node_id = ready[tenant][ready_pos];
-    ready[tenant].erase(ready_pos);
-    const Node& node = program.graph().node(node_id);
-    const std::size_t lane = 2 * span.lowest() + (overlay ? 1 : 0);
-
-    InFlight fl;
-    fl.node = node_id;
-    fl.tenant = tenant;
-    fl.key = OpKey::of(node);
-    fl.cores = span;
-    fl.overlay = overlay;
-    fl.live = true;
-    fl.op_token = op_token;
-    fl.predicted_ms = c.time_ms > 0.0 ? c.time_ms
-                                      : controller_.predicted_time_ms(node);
-    for (const InFlight& other : inflight) {
-      if (other.live)
-        fl.corunners.push_back(TenantOpKey{other.tenant, other.key});
-    }
-    const bool corun = inflight_count > 0;
+  std::optional<DispatchCompletion> launch(const DispatchLaunch& l) override {
+    const double l0 = exec_.metrics_ != nullptr ? wall_time_ms() : 0.0;
+    HostGraphProgram& program = *programs_[l.tenant];
+    const NodeId node_id = l.node->id;
+    const std::size_t lane = l.lane;
     // A saturating launch — empty machine, op takes every idle core —
     // excludes any co-runner until it completes, so the dispatcher runs it
     // inline: the async detour (launcher handoff + condvar round-trip)
@@ -359,13 +211,11 @@ std::vector<StepResult> HostCorunExecutor::run_step_multi(
     // Only when no Strategy-4 overlay could ride on it (overlays need the
     // dispatcher free): single-core host, S4 off, or nothing else ready in
     // ANY tenant's queue.
-    const bool overlays_possible = cores_ >= 2 &&
-                                   (options_.strategies & kStrategy4) != 0 &&
-                                   any_ready();
-    const bool inline_run =
-        !overlay && !corun && !overlays_possible &&
-        span.count() ==
-            CoreSet::all(cores_).minus(primary_busy).minus(overlaid).count();
+    const bool overlays_possible =
+        exec_.cores_ >= 2 &&
+        (exec_.options_.strategies & kStrategy4) != 0 && l.others_ready;
+    const bool inline_run = !l.overlay && live_ == 0 && !overlays_possible &&
+                            l.cores.count() == idle_cores().count();
 
     // One pinned team per disjoint span. Overlays use slot 1 so an overlay
     // whose (width, span) coincides with its primary's never shares the
@@ -379,149 +229,179 @@ std::vector<StepResult> HostCorunExecutor::run_step_multi(
     // lane -> same span/width) a pointer compare instead of a pool lookup,
     // and keeps re-waking the workers already pinned there.
     ThreadTeam* team;
-    if (inline_run && span.count() == 1) {
-      team = &inline1_;
+    const std::size_t width = l.cores.count();
+    if (inline_run && width == 1) {
+      team = &exec_.inline1_;
     } else {
-      LaneTeam& cached = lane_teams_[lane];
-      const std::size_t slot = overlay ? 1 : 0;
-      if (cached.team != nullptr && cached.width == span.count() &&
-          cached.slot == slot && cached.span == span) {
+      LaneTeam& cached = exec_.lane_teams_[lane];
+      const std::size_t slot = l.overlay ? 1 : 0;
+      if (cached.team != nullptr && cached.width == width &&
+          cached.slot == slot && cached.span == l.cores) {
         team = cached.team;
       } else {
-        team = &pool_.team_pinned(span.count(), span, slot);
-        cached = LaneTeam{team, span.count(), slot, span};
+        team = &exec_.pool_.team_pinned(width, l.cores, slot);
+        cached = LaneTeam{team, width, slot, l.cores};
       }
     }
-    if (overlay) {
-      overlaid = overlaid.union_with(span);
+    if (l.overlay) {
+      overlaid_ = overlaid_.union_with(l.cores);
     } else {
-      primary_busy = primary_busy.union_with(span);
+      primary_busy_ = primary_busy_.union_with(l.cores);
     }
-    fl.start_wall_ms = wall_time_ms();
-    inflight[lane] = std::move(fl);
-    ++inflight_count;
-    stats.trace.record(wall_time_ms() - t0, /*is_launch=*/true, node_id,
-                       node.kind, static_cast<int>(inflight_count));
-    ++stats.ops_run;
-    if (overlay) {
-      ++stats.overlay_launches;
-      ++stats.corun_launches;
-    } else if (corun) {
-      ++stats.corun_launches;
-    }
-    if (metrics_ != nullptr) {
-      if (overlay) {
-        m_overlay_launches_->inc();
+    Lane& ln = lanes_[lane];
+    ln.node = l.node;
+    ln.tenant = l.tenant;
+    ln.cores = l.cores;
+    ln.overlay = l.overlay;
+    ln.live = true;
+    ln.predicted_ms = l.candidate.time_ms > 0.0
+                          ? l.candidate.time_ms
+                          : exec_.controller_.predicted_time_ms(*l.node);
+    ln.start_wall_ms = wall_time_ms();
+    ++live_;
+    if (exec_.metrics_ != nullptr) {
+      if (l.overlay) {
+        exec_.m_overlay_launches_->inc();
       } else if (inline_run) {
-        m_inline_launches_->inc();
+        exec_.m_inline_launches_->inc();
       } else {
-        m_team_launches_->inc();
+        exec_.m_team_launches_->inc();
       }
-      m_lanes_inflight_->observe(static_cast<double>(inflight_count));
+      exec_.m_lanes_inflight_->observe(static_cast<double>(live_));
       // Dispatch handoff cost: admission bookkeeping to kernel handoff
       // (team resolution, lane setup) — kernel time excluded on every path.
-      m_launch_ms_->observe(wall_time_ms() - l0);
+      exec_.m_launch_ms_->observe(wall_time_ms() - l0);
     }
     if (inline_run) {
       program.run_node(node_id, *team);
-      complete(lane, wall_time_ms());
-      return;
+      return finish(lane, wall_time_ms());
     }
     // Same-lane posting: the launcher that owns this span's lane runs the
     // op and writes its own completion slot — no shared queue anywhere.
-    pad.launch_on(lane, [&program, &board, node_id, lane, team] {
+    CompletionBoard& board = board_;
+    pad_.launch_on(lane, [&program, &board, node_id, lane, team] {
       program.run_node(node_id, *team);
       board.post(lane, wall_time_ms());
     });
-  };
+    return std::nullopt;
+  }
 
-  while (remaining_total > 0) {
-    // ---- Strategies 1-3 (serial execution when S3 is off) ----
-    for (;;) {
-      const CoreSet idle =
-          CoreSet::all(cores_).minus(primary_busy).minus(overlaid);
-      if (idle.empty() || !any_ready()) break;
-      // One running-view snapshot and one policy call admit up to batch_k
-      // launches; decision i already models picks 0..i-1 as running, so
-      // applying them back-to-back matches deciding one per wake.
-      const double d0 = wall_time_ms();
-      std::vector<AdmissionStats> round_stats;
-      const auto batch =
-          policy_.next_launch_batch(tenant_views,
-                                    static_cast<int>(idle.count()), views(),
-                                    &round_stats, batch_k);
-      sched_total += wall_time_ms() - d0;
-      // Per-queue attribution, wait rounds included: the policy counts each
-      // tenant's cache hits / guard fallbacks against the queue that
-      // incurred them, whoever wins the round.
-      for (std::size_t t = 0; t < round_stats.size(); ++t) {
-        results[t].cache_hits += round_stats[t].cache_hits;
-        results[t].guard_fallbacks += round_stats[t].guard_fallbacks;
-      }
-      if (batch.empty()) break;  // wait for a completion
-      CoreSet avail = idle;
-      for (const auto& d : batch) {
-        const auto width = static_cast<std::size_t>(
-            std::max(1, d.decision.candidate.threads));
-        const CoreSet span = avail.take_lowest(width);
-        avail = avail.minus(span);
-        launch(d.tenant, d.decision.ready_pos, d.decision.candidate, span,
-               /*overlay=*/false, d.decision.op_token);
-      }
-    }
-
-    // ---- Strategy 4: overlay small ops onto busy compute-bound cores ----
-    // Gated on a multi-core host: overlays bank on spare hardware contexts
-    // next to a busy primary; on a single-core host there are none and an
-    // overlay is pure oversubscription.
-    if (cores_ >= 2 && (options_.strategies & kStrategy4) != 0 &&
-        any_ready() &&
-        CoreSet::all(cores_).minus(primary_busy).minus(overlaid).count() <
-            AdmissionPolicy::kOverlayTriggerIdleCores) {
-      for (;;) {
-        CoreSet eligible(cores_);
-        for (const InFlight& fl : inflight) {
-          if (fl.live && !fl.overlay &&
-              host_mem_intensity(programs[fl.tenant]->graph().node(
-                  fl.node)) < kComputeBoundCutoff) {
-            eligible = eligible.union_with(fl.cores);
-          }
-        }
-        eligible = eligible.minus(overlaid);
-        if (eligible.empty() || !any_ready()) break;
-        const double d0 = wall_time_ms();
-        const auto d = policy_.next_overlay_multi(
-            tenant_views, static_cast<int>(eligible.count()), views());
-        sched_total += wall_time_ms() - d0;
-        if (!d.has_value()) break;
-        const auto width = static_cast<std::size_t>(
-            std::max(1, d->decision.candidate.threads));
-        launch(d->tenant, d->decision.ready_pos, d->decision.candidate,
-               eligible.take_lowest(width), /*overlay=*/true,
-               d->decision.op_token);
-      }
-    }
-
-    // ---- wait for (at least) one async completion ----
-    if (remaining_total == 0) break;  // everything finished inline
-    if (inflight_count == 0) {
-      if (any_ready()) continue;  // inline completions refilled a queue
-      throw std::logic_error(
-          "HostCorunExecutor: deadlock — nothing running but nodes remain");
-    }
-    board.wait(consumed);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
+  void wait(std::vector<DispatchCompletion>& out) override {
+    board_.wait(consumed_);
+    for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
       double end_wall = 0.0;
-      if (board.take(lane, end_wall)) {
-        ++consumed;
-        complete(lane, end_wall);
+      if (board_.take(lane, end_wall)) {
+        ++consumed_;
+        out.push_back(finish(lane, end_wall));
       }
     }
   }
 
+ private:
+  struct Lane {
+    const Node* node = nullptr;
+    std::size_t tenant = 0;
+    CoreSet cores;
+    bool overlay = false;
+    bool live = false;
+    double predicted_ms = 0.0;  // controller timescale
+    double start_wall_ms = 0.0;
+  };
+
+  /// Releases `lane`'s cores and folds its wall time into the calibration.
+  DispatchCompletion finish(std::size_t lane, double end_wall) {
+    Lane& ln = lanes_[lane];
+    ln.live = false;
+    --live_;
+    DispatchCompletion c;
+    c.lane = lane;
+    c.end_ms = end_wall - t0_;
+    c.actual_ms = end_wall - ln.start_wall_ms;
+    if (ln.predicted_ms > 0.0) {
+      // Interference is judged against the calibration as it stood BEFORE
+      // this sample: folding the slow sample into the EWMA first would
+      // dilute the 2.5x bad-pair threshold toward unreachable.
+      double& calib = exec_.calib_;
+      if (calib > 0.0) c.expected_ms = ln.predicted_ms * calib;
+      // Overlays are excluded from the calibration: they run up to ~2.5x
+      // slow BY DESIGN, and folding that in would inflate every later
+      // expectation (recorder threshold, throughput-guard views).
+      if (!ln.overlay) {
+        const double ratio = c.actual_ms / ln.predicted_ms;
+        const double alpha = exec_.host_.calibration_alpha;
+        calib = calib == 0.0 ? ratio : (1.0 - alpha) * calib + alpha * ratio;
+      }
+    }
+    if (ln.overlay) {
+      overlaid_ = overlaid_.minus(ln.cores);
+    } else {
+      primary_busy_ = primary_busy_.minus(ln.cores);
+    }
+    // One wall-clock span per completed op, on its tenant×lane track.
+    if (exec_.trace_ != nullptr) {
+      obs::TraceSpan span;
+      span.name = ln.node->label.empty()
+                      ? std::string(op_kind_name(ln.node->kind))
+                      : ln.node->label;
+      span.cat = ln.overlay ? "op.overlay" : "op";
+      span.pid = exec_.trace_pid_;
+      span.tid = static_cast<std::uint32_t>(ln.tenant * lanes_.size() + lane);
+      span.start_ms = ln.start_wall_ms;
+      span.dur_ms = c.actual_ms;
+      exec_.trace_->span(std::move(span));
+    }
+    return c;
+  }
+
+  HostCorunExecutor& exec_;
+  const std::vector<HostGraphProgram*>& programs_;
+  const double t0_;
+  std::vector<Lane> lanes_;
+  std::size_t live_ = 0;
+  std::size_t consumed_ = 0;
+  CompletionBoard board_;
+  CoreSet primary_busy_;
+  CoreSet overlaid_;
+  // Declared last: its destructor joins the launcher threads before the
+  // board they post to goes away.
+  LaunchPad pad_;
+};
+
+StepResult HostCorunExecutor::run_step(HostGraphProgram& program) {
+  std::vector<StepResult> results =
+      run_step_multi({&program}, TenantSet::slots(1));
+  return std::move(results.front());
+}
+
+std::vector<StepResult> HostCorunExecutor::run_step_multi(
+    const std::vector<HostGraphProgram*>& programs, const TenantSet& set) {
+  const std::size_t tenants = programs.size();
+  // Trace track metadata: one track per tenant×lane (primary + overlay
+  // sub-track per core), named once per population growth.
+  if (trace_ != nullptr && trace_named_tenants_ < tenants) {
+    const std::size_t lanes = 2 * cores_;
+    for (std::size_t t = trace_named_tenants_; t < tenants; ++t) {
+      for (std::size_t c = 0; c < cores_; ++c) {
+        const auto tid = static_cast<std::uint32_t>(t * lanes + 2 * c);
+        const std::string base =
+            "tenant " + std::to_string(t) + " core " + std::to_string(c);
+        trace_->set_track_name(trace_pid_, tid, base);
+        trace_->set_track_name(trace_pid_, tid + 1, base + " ovl");
+      }
+    }
+    trace_named_tenants_ = tenants;
+  }
+
+  std::vector<const Graph*> graphs;
+  graphs.reserve(tenants);
+  for (HostGraphProgram* program : programs) {
+    graphs.push_back(&program->graph());
+  }
+  Substrate substrate(*this, programs);
+  std::vector<StepResult> results =
+      run_dispatch(policy_, substrate, graphs, set, host_.decision_batch);
   for (std::size_t t = 0; t < tenants; ++t) {
-    results[t].sched_ms = sched_total;
-    finalize_step(results[t], last_completion[t] - t0, *programs[t]);
+    results[t].checksum = programs[t]->step_checksum();
   }
   return results;
 }
@@ -600,7 +480,9 @@ StepResult HostCorunExecutor::run_step_fifo(HostGraphProgram& program,
     for (NodeId nid : newly) ready.push_back(nid);
   }
 
-  finalize_step(stats, wall_time_ms() - t0, program);
+  stats.time_ms = wall_time_ms() - t0;
+  stats.mean_corun = stats.trace.mean_corun();
+  stats.checksum = program.step_checksum();
   return stats;
 }
 

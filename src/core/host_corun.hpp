@@ -3,43 +3,39 @@
 // HostGraphProgram), scheduled by the same Strategy 1-4 admission logic
 // (AdmissionPolicy) that drives the simulator's CorunScheduler.
 //
-// The executor is a completion-driven scheduling loop, the paper's runtime
-// structure on a physical machine:
+// The executor adapts the host to the shared completion-driven dispatch
+// loop (core/dispatch.hpp) — the paper's runtime structure on a physical
+// machine:
 //   - the dispatcher thread holds a core map of the host (idle / primary /
-//     overlaid) and asks the shared AdmissionPolicy what to launch whenever
-//     cores free up;
+//     overlaid) that the loop's idle-core and overlay queries read;
 //   - every admitted op gets a ThreadTeam of the chosen width pinned to a
 //     disjoint span of host cores (TeamPool::team_pinned), and is handed to
 //     a LaunchPad launcher so the dispatcher never blocks on a kernel;
 //   - Strategy 4 overlays small ops onto the cores of compute-bound
 //     primaries (hyper-thread-context sharing on the real machine; plain
 //     core sharing when SMT is off — either way, real contention);
-//   - completions return cores, feed newly-ready ops, and update an online
-//     calibration between the controller's predicted timescale and host
-//     wall-clock, which the Strategy 3 throughput guard and the
-//     interference recorder consume.
+//   - completions return cores and update an online calibration between
+//     the controller's predicted timescale and host wall-clock, which the
+//     Strategy 3 throughput guard and the interference recorder consume.
 //
 // Multi-tenancy: run_step_multi schedules N independent training graphs
-// (one HostGraphProgram per tenant, each with its own ready queue and
-// dependency tracker) over ONE shared core map. The AdmissionPolicy's
-// weighted-deficit walk arbitrates which tenant's ready op claims idle
-// cores, so several jobs genuinely interleave on the machine instead of
-// running back-to-back — the shared-host serving setting of multi-tenant
-// DNN schedulers, driven by the paper's Strategy 1-4 runtime. Single-step
-// run_step is the N=1 case of the same loop.
+// (one HostGraphProgram per tenant) over ONE shared core map, with the
+// loop's per-tenant ready queues and the AdmissionPolicy's weighted-deficit
+// walk arbitrating which tenant's ready op claims idle cores — the
+// shared-host serving setting of multi-tenant DNN schedulers, driven by the
+// paper's Strategy 1-4 runtime. Single-step run_step is the N=1 case.
 //
 // What it measures: real step wall-clock under runtime concurrency control,
 // including every cost the simulator only models — team reuse vs. spawn,
 // cache contention between co-runners, dispatch serialization. See
-// docs/HOST_EXECUTION.md for how this path relates to the simulator and to
-// HostReplayExecutor.
+// docs/HOST_EXECUTION.md for how this path relates to the simulator.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/admission_policy.hpp"
-#include "core/corun_scheduler.hpp"  // StepResult
+#include "core/dispatch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "ops/host_program.hpp"
@@ -81,22 +77,15 @@ class HostCorunExecutor {
 
   /// One CO-LOCATED adaptive step over N tenants: every program's graph
   /// runs to completion on the shared core map, ops interleaving across
-  /// tenants under the weighted-deficit admission walk. `weights[t]` is
-  /// tenant t's relative claim on contended cores (missing/non-positive
-  /// entries default to 1.0). Returns one StepResult per tenant, in input
-  /// order: time_ms is that tenant's makespan (step start to its last
-  /// completion), service_ms the kernel wall-time it consumed, checksum its
-  /// private deterministic step checksum.
-  std::vector<StepResult> run_step_multi(
-      const std::vector<HostGraphProgram*>& programs,
-      const std::vector<double>& weights = {});
-
-  /// Stable-identity form for churn-tolerant serving: slot t of `programs`
-  /// carries stable id set.ids[t] (the serving layer passes job ids), so
-  /// learned state and — with set.preserve_service — the fairness deficit
-  /// follow the job across between-step tenant-set reconfigurations. The
-  /// weights overload is this one with TenantSet::slots (ids = slot
-  /// indices, per-step service reset).
+  /// tenants under the weighted-deficit admission walk. Slot t of
+  /// `programs` carries stable id set.ids[t] (the serving layer passes job
+  /// ids), so learned state and — with set.preserve_service — the fairness
+  /// deficit follow the job across between-step tenant-set
+  /// reconfigurations; TenantSet::slots(n, weights) gives the slot-indexed
+  /// population. Returns one StepResult per tenant, in input order: time_ms
+  /// is that tenant's makespan (step start to its last completion),
+  /// service_ms the kernel wall-time it consumed, checksum its private
+  /// deterministic step checksum.
   std::vector<StepResult> run_step_multi(
       const std::vector<HostGraphProgram*>& programs, const TenantSet& set);
 
@@ -143,20 +132,8 @@ class HostCorunExecutor {
   std::size_t cores() const noexcept { return cores_; }
 
  private:
-  struct InFlight {
-    NodeId node = kInvalidNode;
-    std::size_t tenant = 0;
-    OpKey key;
-    CoreSet cores;
-    bool overlay = false;
-    bool live = false;  // lane occupied (in-flight records are lane-indexed)
-    /// Policy arena id from the admission decision, passed back in the
-    /// running views so per-wake snapshots skip the arena lookup.
-    std::uint32_t op_token = kNoOpToken;
-    double predicted_ms = 0.0;  // controller timescale
-    double start_wall_ms = 0.0;
-    std::vector<TenantOpKey> corunners;
-  };
+  /// The per-step dispatch substrate over this executor's core map.
+  class Substrate;
 
   /// Persistent-team affinity: the last team each lane launched, so a lane
   /// re-running the same (width, span) skips the TeamPool lock + hash and

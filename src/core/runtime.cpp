@@ -59,7 +59,8 @@ StepResult Runtime::run_step(const Graph& g) {
 std::vector<StepResult> Runtime::run_step_multi(
     const std::vector<const Graph*>& graphs,
     const std::vector<double>& weights) {
-  return scheduler_->run_step_multi(graphs, machine_, weights);
+  return scheduler_->run_step_multi(
+      graphs, machine_, TenantSet::slots(graphs.size(), weights));
 }
 
 std::vector<StepResult> Runtime::run_step_multi(
@@ -156,7 +157,8 @@ StepResult Runtime::run_step_host(HostGraphProgram& program) {
 std::vector<StepResult> Runtime::run_step_multi_host(
     const std::vector<HostGraphProgram*>& programs,
     const std::vector<double>& weights) {
-  return host_executor().run_step_multi(programs, weights);
+  return host_executor().run_step_multi(
+      programs, TenantSet::slots(programs.size(), weights));
 }
 
 std::vector<StepResult> Runtime::run_step_multi_host(

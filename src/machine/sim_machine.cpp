@@ -196,6 +196,8 @@ std::optional<SimMachine::Completion> SimMachine::advance() {
   c.finish_ms = now_ms_;
   c.solo_ms = done.solo_ms;
   c.actual_ms = now_ms_ - done.start_ms;
+  c.cores = done.cores;
+  c.launch_kind = done.launch_kind;
   trace_.record(now_ms_, /*is_launch=*/false, done.node, done.kind,
                 static_cast<int>(tasks_.size()));
   return c;

@@ -90,6 +90,8 @@ class SimMachine {
     double finish_ms = 0.0;
     double solo_ms = 0.0;
     double actual_ms = 0.0;  // includes interference/HT slowdown
+    CoreSet cores;
+    LaunchKind launch_kind = LaunchKind::kExclusive;
   };
 
   SimMachine(const MachineSpec& spec, const CostModel& model);

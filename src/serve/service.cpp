@@ -201,7 +201,16 @@ std::optional<JobSpec> SchedulerService::withdraw(JobId id) {
 
 JobRecord SchedulerService::job_record(JobId id) const {
   std::unique_lock<std::mutex> lk(mu_);
-  return ledger_.at(id);
+  JobRecord rec = ledger_.at(id);
+  book_latency_percentiles_locked(rec);
+  return rec;
+}
+
+void SchedulerService::book_latency_percentiles_locked(JobRecord& rec) const {
+  const auto it = jobs_.find(rec.id);
+  if (it == jobs_.end() || it->second->latencies.empty()) return;
+  rec.p50_latency_ms = percentile(it->second->latencies, 50.0);
+  rec.p99_latency_ms = percentile(it->second->latencies, 99.0);
 }
 
 WidthDemand SchedulerService::demand_of(JobId id) const {
@@ -388,6 +397,7 @@ ServiceSnapshot SchedulerService::snapshot() const {
   std::unique_lock<std::mutex> lk(mu_);
   ServiceSnapshot snap;
   snap.jobs = ledger_.snapshot();
+  for (JobRecord& rec : snap.jobs) book_latency_percentiles_locked(rec);
   snap.queued = ledger_.count(JobState::kQueued) +
                 ledger_.count(JobState::kProfiling);
   snap.running = ledger_.count(JobState::kRunning);
@@ -415,6 +425,7 @@ bool SchedulerService::started() const {
 
 void SchedulerService::finish_job_locked(JobId id, JobState terminal) {
   ledger_.transition(id, terminal, now_locked());
+  book_latency_percentiles_locked(ledger_.at(id));
   if (telem_.submitted != nullptr) {
     (terminal == JobState::kCompleted ? telem_.completed : telem_.cancelled)
         ->inc();
@@ -672,8 +683,6 @@ void SchedulerService::run_one_step(std::unique_lock<std::mutex>& lk) {
         options_.trace->span(std::move(span));
       }
       rec.max_latency_ms = std::max(rec.max_latency_ms, latency);
-      rec.p50_latency_ms = percentile(job.latencies, 50.0);
-      rec.p99_latency_ms = percentile(job.latencies, 99.0);
     }
     if (options_.substrate == Substrate::kHost) {
       if (rec.steps_done == 1) {

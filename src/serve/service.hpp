@@ -231,7 +231,8 @@ class SchedulerService {
     bool demand_known = false;
     WidthDemand demand;
     /// Inference: latency of every request served so far (the percentile
-    /// basis). Freed with the rest of the working state at terminal.
+    /// basis, see book_latency_percentiles_locked). Freed with the rest of
+    /// the working state at terminal.
     std::vector<double> latencies;
     bool cancel_requested = false;
     bool retired = false;  // runtime.retire_tenant(id) already called
@@ -254,6 +255,12 @@ class SchedulerService {
   void admission_pass(std::unique_lock<std::mutex>& lk);
   void run_one_step(std::unique_lock<std::mutex>& lk);
   void finish_job_locked(JobId id, JobState terminal);
+  /// Books an inference job's p50/p99 latency into `rec` from its exact
+  /// latency series. Done when a record leaves the service and at the
+  /// terminal transition — not per served request, which re-sorted the
+  /// whole series every time. No-op once the series is freed (terminal
+  /// records keep the values booked at their transition).
+  void book_latency_percentiles_locked(JobRecord& rec) const;
   /// The service clock: wall ms, or the virtual clock in kVirtual mode.
   double now_locked() const;
   /// Resident jobs that can join the NEXT co-located step at clock `now`:

@@ -50,9 +50,45 @@ class AdmissionPolicyTest : public ::testing::Test {
     return v;
   }
 
+  /// One Strategy 1-3 decision over a single queue of graph_ (the
+  /// batch-of-one walk of a one-tenant population).
+  std::optional<AdmissionDecision> launch(
+      AdmissionPolicy& p, const ReadyQueue& ready, int idle,
+      const std::vector<RunningOpView>& running,
+      AdmissionStats* stats = nullptr) const {
+    std::vector<AdmissionStats> per_tenant;
+    const auto batch = p.next_launch_batch({{&graph_, &ready}}, idle, running,
+                                           &per_tenant, 1);
+    if (stats != nullptr && !per_tenant.empty()) {
+      stats->cache_hits += per_tenant[0].cache_hits;
+      stats->guard_fallbacks += per_tenant[0].guard_fallbacks;
+    }
+    if (batch.empty()) return std::nullopt;
+    return batch.front().decision;
+  }
+
+  /// One Strategy-4 decision over a single queue of graph_.
+  std::optional<AdmissionDecision> overlay(
+      AdmissionPolicy& p, const ReadyQueue& ready, int eligible,
+      const std::vector<RunningOpView>& running) const {
+    const auto d = p.next_overlay_multi({{&graph_, &ready}}, eligible, running);
+    if (!d.has_value()) return std::nullopt;
+    return d->decision;
+  }
+
   Graph graph_;
   Runtime runtime_;
 };
+
+/// One admission decision over `tenants` (the batch-of-one walk).
+std::optional<MultiAdmissionDecision> launch_multi(
+    AdmissionPolicy& p, const std::vector<TenantReadyView>& tenants, int idle,
+    const std::vector<RunningOpView>& running,
+    std::vector<AdmissionStats>* stats = nullptr) {
+  const auto batch = p.next_launch_batch(tenants, idle, running, stats, 1);
+  if (batch.empty()) return std::nullopt;
+  return batch.front();
+}
 
 /// One scripted scheduling situation.
 struct ScriptState {
@@ -79,9 +115,9 @@ TEST_F(AdmissionPolicyTest, SimulatorAndHostRolesDecideIdentically) {
 
   for (const ScriptState& s : script) {
     AdmissionStats sim_stats, host_stats;
-    const auto a = sim_role.next_launch(graph_, s.ready, s.idle_cores,
+    const auto a = launch(sim_role, s.ready, s.idle_cores,
                                         s.running, &sim_stats);
-    const auto b = host_role.next_launch(graph_, s.ready, s.idle_cores,
+    const auto b = launch(host_role, s.ready, s.idle_cores,
                                          s.running, &host_stats);
     ASSERT_EQ(a.has_value(), b.has_value());
     if (a.has_value()) {
@@ -95,9 +131,9 @@ TEST_F(AdmissionPolicyTest, SimulatorAndHostRolesDecideIdentically) {
     EXPECT_EQ(sim_stats.guard_fallbacks, host_stats.guard_fallbacks);
 
     const auto oa =
-        sim_role.next_overlay(graph_, s.ready, s.idle_cores, s.running);
+        overlay(sim_role, s.ready, s.idle_cores, s.running);
     const auto ob =
-        host_role.next_overlay(graph_, s.ready, s.idle_cores, s.running);
+        overlay(host_role, s.ready, s.idle_cores, s.running);
     ASSERT_EQ(oa.has_value(), ob.has_value());
     if (oa.has_value()) {
       EXPECT_EQ(oa->ready_pos, ob->ready_pos);
@@ -135,9 +171,9 @@ TEST_F(AdmissionPolicyTest, RandomizedScriptsSimAndHostRolesDecideIdentically) {
 
     AdmissionStats sim_stats, host_stats;
     const auto a =
-        sim_role.next_launch(graph_, ready, idle, running, &sim_stats);
+        launch(sim_role, ready, idle, running, &sim_stats);
     const auto b =
-        host_role.next_launch(graph_, ready, idle, running, &host_stats);
+        launch(host_role, ready, idle, running, &host_stats);
     ASSERT_EQ(a.has_value(), b.has_value());
     if (a.has_value()) {
       EXPECT_EQ(a->ready_pos, b->ready_pos);
@@ -148,8 +184,8 @@ TEST_F(AdmissionPolicyTest, RandomizedScriptsSimAndHostRolesDecideIdentically) {
     EXPECT_EQ(sim_stats.cache_hits, host_stats.cache_hits);
     EXPECT_EQ(sim_stats.guard_fallbacks, host_stats.guard_fallbacks);
 
-    const auto oa = sim_role.next_overlay(graph_, ready, idle, running);
-    const auto ob = host_role.next_overlay(graph_, ready, idle, running);
+    const auto oa = overlay(sim_role, ready, idle, running);
+    const auto ob = overlay(host_role, ready, idle, running);
     ASSERT_EQ(oa.has_value(), ob.has_value());
     if (oa.has_value()) {
       EXPECT_EQ(oa->ready_pos, ob->ready_pos);
@@ -160,8 +196,10 @@ TEST_F(AdmissionPolicyTest, RandomizedScriptsSimAndHostRolesDecideIdentically) {
     // it; later rounds then exercise the bad-pair filter identically.
     if (!running.empty() && !ready.empty() && rng.uniform() < 0.15) {
       const OpKey completed = OpKey::of(graph_.node(ready.front()));
-      sim_role.record_interference(completed, {running.front().key});
-      host_role.record_interference(completed, {running.front().key});
+      sim_role.record_interference(TenantOpKey{0, completed},
+                                   {TenantOpKey{0, running.front().key}});
+      host_role.record_interference(TenantOpKey{0, completed},
+                                    {TenantOpKey{0, running.front().key}});
     }
     ASSERT_EQ(sim_role.recorded_bad_pairs(), host_role.recorded_bad_pairs());
   }
@@ -176,8 +214,8 @@ TEST_F(AdmissionPolicyTest, RandomizedMultiTenantScriptsDecideIdentically) {
   AdmissionPolicy sim_role = make_policy();
   AdmissionPolicy host_role = make_policy();
   const std::vector<double> weights = {1.0, 2.0, 0.5};
-  sim_role.configure_tenants(3, weights);
-  host_role.configure_tenants(3, weights);
+  sim_role.configure_tenants(TenantSet::slots(3, weights));
+  host_role.configure_tenants(TenantSet::slots(3, weights));
 
   for (int round = 0; round < 100; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
@@ -202,9 +240,9 @@ TEST_F(AdmissionPolicyTest, RandomizedMultiTenantScriptsDecideIdentically) {
 
     std::vector<AdmissionStats> sim_stats, host_stats;
     const auto a =
-        sim_role.next_launch_multi(tenants, idle, running, &sim_stats);
+        launch_multi(sim_role, tenants, idle, running, &sim_stats);
     const auto b =
-        host_role.next_launch_multi(tenants, idle, running, &host_stats);
+        launch_multi(host_role, tenants, idle, running, &host_stats);
     ASSERT_EQ(a.has_value(), b.has_value());
     if (a.has_value()) {
       EXPECT_EQ(a->tenant, b->tenant);
@@ -236,8 +274,8 @@ TEST_F(AdmissionPolicyTest, RepeatedSituationHitsTheDecisionCache) {
   const ReadyQueue ready{2, 3};
   const std::vector<RunningOpView> running{running_view(1, 1e6)};
   AdmissionStats first, second;
-  const auto a = policy.next_launch(graph_, ready, 68, running, &first);
-  const auto b = policy.next_launch(graph_, ready, 68, running, &second);
+  const auto a = launch(policy, ready, 68, running, &first);
+  const auto b = launch(policy, ready, 68, running, &second);
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(first.cache_hits, 0u);
@@ -250,29 +288,30 @@ TEST_F(AdmissionPolicyTest, RecordedBadPairIsNeverCoRunAgain) {
   AdmissionPolicy policy = make_policy();
   const OpKey a = OpKey::of(graph_.node(1));
   const OpKey b = OpKey::of(graph_.node(5));
-  policy.record_interference(a, {b});
+  policy.record_interference(TenantOpKey{0, a}, {TenantOpKey{0, b}});
   EXPECT_EQ(policy.recorded_bad_pairs(), 1u);
 
   // Node 4 ready, node 0 running: the pair is blocked, and with nothing
   // else ready the round must wait.
   const ReadyQueue ready{5};
   const auto d =
-      policy.next_launch(graph_, ready, 32, {running_view(1, 50.0)}, nullptr);
+      launch(policy, ready, 32, {running_view(1, 50.0)}, nullptr);
   EXPECT_FALSE(d.has_value());
   EXPECT_FALSE(
-      policy.next_overlay(graph_, ready, 8, {running_view(1, 50.0)})
+      overlay(policy, ready, 8, {running_view(1, 50.0)})
           .has_value());
 
   policy.reset_learning();
   EXPECT_EQ(policy.recorded_bad_pairs(), 0u);
-  EXPECT_FALSE(policy.bad_pair_with_running(a, {running_view(5, 1.0)}));
+  EXPECT_FALSE(policy.bad_pair_with_running(TenantOpKey{0, a},
+                                            {running_view(5, 1.0)}));
 }
 
 TEST_F(AdmissionPolicyTest, ThroughputGuardRejectsOutlastingCandidates) {
   AdmissionPolicy policy = make_policy();
   // Ongoing work about to finish: no conv candidate can avoid outlasting
   // it, so the round waits.
-  const auto d = policy.next_launch(graph_, {1, 2}, 68,
+  const auto d = launch(policy, {1, 2}, 68,
                                     {running_view(3, 1e-9)}, nullptr);
   EXPECT_FALSE(d.has_value());
 }
@@ -281,7 +320,7 @@ TEST_F(AdmissionPolicyTest, EmptyMachineFallbackRunsTheHeaviestOp) {
   AdmissionPolicy policy = make_policy();
   // One idle core, machine empty: nothing fits, so the heaviest ready op
   // runs clamped to the idle width.
-  const auto d = policy.next_launch(graph_, {5, 1}, 1, {}, nullptr);
+  const auto d = launch(policy, {5, 1}, 1, {}, nullptr);
   ASSERT_TRUE(d.has_value());
   EXPECT_LE(d->candidate.threads, 1);
   if (d->heavy_fallback) {
@@ -294,7 +333,7 @@ TEST_F(AdmissionPolicyTest, OverlayPicksTheSmallestReadyOp) {
   AdmissionPolicy policy = make_policy();
   // Plenty of remaining time on the primary: the tiny bias add (node 4)
   // must be chosen over the convs.
-  const auto d = policy.next_overlay(graph_, {1, 2, 5}, 4,
+  const auto d = overlay(policy, {1, 2, 5}, 4,
                                      {running_view(3, 1e6)});
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->ready_pos, 2u);
@@ -313,7 +352,7 @@ TEST_F(AdmissionPolicyTest, TenantSetPreservesServiceAcrossReconfiguration) {
   const TenantReadyView view{&graph_, &ready};
   // Tenant slot 0 (id 101) wins the first empty-machine round and gets
   // charged.
-  const auto d = p.next_launch_multi({view, view}, 68, {}, nullptr);
+  const auto d = launch_multi(p, {view, view}, 68, {}, nullptr);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->tenant, 0u);
   const double charged = p.service_of(101);
@@ -327,7 +366,7 @@ TEST_F(AdmissionPolicyTest, TenantSetPreservesServiceAcrossReconfiguration) {
   EXPECT_DOUBLE_EQ(p.tenant_service(1), charged);   // slot 1 carries id 101
   EXPECT_DOUBLE_EQ(p.tenant_service(0), 0.0);       // fresh id 303
   // The deficit order therefore visits the newcomer first.
-  const auto d2 = p.next_launch_multi({view, view}, 68, {}, nullptr);
+  const auto d2 = launch_multi(p, {view, view}, 68, {}, nullptr);
   ASSERT_TRUE(d2.has_value());
   EXPECT_EQ(d2->tenant, 0u);
 
@@ -379,7 +418,7 @@ TEST_F(AdmissionPolicyTest, RetireTenantDropsItsLearnedStateOnly) {
                         {TenantOpKey{1, OpKey::of(graph_.node(4))}});
   ReadyQueue ready{1};
   const TenantReadyView view{&graph_, &ready};
-  (void)p.next_launch_multi({view, view}, 68, {}, nullptr);
+  (void)launch_multi(p, {view, view}, 68, {}, nullptr);
   ASSERT_EQ(p.recorded_bad_pairs(), 2u);
   ASSERT_GT(p.service_of(11), 0.0);
 
@@ -403,15 +442,15 @@ TEST_F(AdmissionPolicyTest, TenantSetValidation) {
 }
 
 TEST_F(AdmissionPolicyTest, SlotConfigureMatchesLegacyBehaviour) {
-  // configure_tenants(count, weights) must behave exactly as before the
-  // TenantSet refactor: identity ids, per-call service reset.
+  // TenantSet::slots(count, weights) must behave exactly as the slot-indexed
+  // populations did before stable ids: identity ids, per-call service reset.
   AdmissionPolicy p = make_policy();
-  p.configure_tenants(2, {1.0, 2.0});
+  p.configure_tenants(TenantSet::slots(2, {1.0, 2.0}));
   ReadyQueue ready{1};
   const TenantReadyView view{&graph_, &ready};
-  (void)p.next_launch_multi({view, view}, 68, {}, nullptr);
+  (void)launch_multi(p, {view, view}, 68, {}, nullptr);
   EXPECT_GT(p.tenant_service(0), 0.0);
-  p.configure_tenants(2, {1.0, 2.0});
+  p.configure_tenants(TenantSet::slots(2, {1.0, 2.0}));
   EXPECT_DOUBLE_EQ(p.tenant_service(0), 0.0);  // reset, not preserved
   EXPECT_DOUBLE_EQ(p.tenant_service(1), 0.0);
 }
@@ -422,10 +461,10 @@ TEST_F(AdmissionPolicyTest, OverlaySkipsBadPairedSmallestAndTakesNextSmallest) {
   // with the running conv. The overlay round must skip it and admit the
   // next-smallest candidate (the conv at pos 0) instead of abandoning the
   // spare contexts entirely.
-  policy.record_interference(OpKey::of(graph_.node(5)),
-                             {OpKey::of(graph_.node(1))});
+  policy.record_interference(TenantOpKey{0, OpKey::of(graph_.node(5))},
+                             {TenantOpKey{0, OpKey::of(graph_.node(1))}});
   const auto d =
-      policy.next_overlay(graph_, {2, 5, 3}, 4, {running_view(1, 1e6)});
+      overlay(policy, {2, 5, 3}, 4, {running_view(1, 1e6)});
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->ready_pos, 0u);
   EXPECT_LE(d->candidate.threads, 4);
@@ -439,7 +478,7 @@ TEST_F(AdmissionPolicyTest, LegacyCallAfterLargerConfigureDoesNotInheritIt) {
   p.configure_tenants(set);
   ReadyQueue ready{1};
   const TenantReadyView view{&graph_, &ready};
-  (void)p.next_launch_multi({view, view}, 68, {}, nullptr);
+  (void)launch_multi(p, {view, view}, 68, {}, nullptr);
   const double id101 = p.service_of(101);
   ASSERT_GT(id101, 0.0);
 
@@ -448,7 +487,7 @@ TEST_F(AdmissionPolicyTest, LegacyCallAfterLargerConfigureDoesNotInheritIt) {
   // the two-job configuration wholesale: job 101's deficit and weight, and
   // the slot 0 -> id 101 mapping, so this call's charge landed on job 101's
   // persistent ledger.
-  const auto d = p.next_launch(graph_, {1}, 68, {}, nullptr);
+  const auto d = launch(p, {1}, 68, {}, nullptr);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(p.tenant_count(), 1u);
   EXPECT_GT(p.tenant_service(0), 0.0);
@@ -468,7 +507,7 @@ TEST_F(AdmissionPolicyTest, NonPreservingReconfigureDropsOutgoingLedger) {
     set.ids = {100 + n};
     set.preserve_service = false;
     p.configure_tenants(set);
-    (void)p.next_launch_multi({view}, 68, {}, nullptr);
+    (void)launch_multi(p, {view}, 68, {}, nullptr);
   }
   TenantSet last;
   last.ids = {999};
@@ -479,20 +518,30 @@ TEST_F(AdmissionPolicyTest, NonPreservingReconfigureDropsOutgoingLedger) {
 
 // --- next_launch_batch: amortized decisions, same semantics ---------------
 
-TEST_F(AdmissionPolicyTest, BatchOfOneMatchesTheSingleDecisionWalk) {
-  AdmissionPolicy batched = make_policy();
-  AdmissionPolicy single = make_policy();
+TEST_F(AdmissionPolicyTest, OpTokensInRunningViewsDoNotChangeDecisions) {
+  // The dispatch loop hands each running op's arena token back in its view;
+  // resolving the view by token must decide exactly as resolving it by key.
+  AdmissionPolicy tokened = make_policy();
+  AdmissionPolicy keyed = make_policy();
   ReadyQueue qa{1, 2, 3, 4, 5};
   ReadyQueue qb{1, 2, 3, 4, 5};
   const TenantReadyView va{&graph_, &qa};
   const TenantReadyView vb{&graph_, &qb};
-  const std::vector<RunningOpView> running{running_view(1, 60.0)};
+  const std::vector<RunningOpView> by_key{running_view(1, 60.0)};
+  const auto first = launch_multi(tokened, {va}, 68, {}, nullptr);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_EQ(first->decision.ready_pos, 0u);  // node 1
+  ASSERT_NE(first->decision.op_token, kNoOpToken);
+  std::vector<RunningOpView> by_token = by_key;
+  by_token[0].op_token = first->decision.op_token;  // node 1's arena id
+  tokened.reset_learning();
+  tokened.configure_tenants(TenantSet::slots(1));
 
   for (int round = 0; round < 5 && !qa.empty(); ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     std::vector<AdmissionStats> sa, sb;
-    const auto batch = batched.next_launch_batch({va}, 68, running, &sa, 1);
-    const auto one = single.next_launch_multi({vb}, 68, running, &sb);
+    const auto batch = tokened.next_launch_batch({va}, 68, by_token, &sa, 1);
+    const auto one = launch_multi(keyed, {vb}, 68, by_key, &sb);
     ASSERT_EQ(batch.size() == 1, one.has_value());
     if (batch.empty()) break;
     EXPECT_EQ(batch[0].decision.ready_pos, one->decision.ready_pos);
@@ -508,7 +557,7 @@ TEST_F(AdmissionPolicyTest, BatchOfOneMatchesTheSingleDecisionWalk) {
     qa.erase(batch[0].decision.ready_pos);
     qb.erase(one->decision.ready_pos);
   }
-  EXPECT_DOUBLE_EQ(batched.tenant_service(0), single.tenant_service(0));
+  EXPECT_DOUBLE_EQ(tokened.tenant_service(0), keyed.tenant_service(0));
 }
 
 TEST_F(AdmissionPolicyTest, BatchAdmitsSeveralLaunchesAgainstOneSnapshot) {
@@ -536,15 +585,13 @@ TEST_F(AdmissionPolicyTest, StrategyMaskDisablesCorunAndOverlay) {
   opt.strategies = kStrategyS12;
   AdmissionPolicy policy(runtime_.controller(), opt);
   // Serial mode: nothing launches while anything runs...
-  EXPECT_FALSE(policy
-                   .next_launch(graph_, {1, 2}, 68,
-                                {running_view(3, 50.0)}, nullptr)
-                   .has_value());
+  EXPECT_FALSE(
+      launch(policy, {1, 2}, 68, {running_view(3, 50.0)}).has_value());
   // ...and overlays are off entirely.
   EXPECT_FALSE(
-      policy.next_overlay(graph_, {5}, 8, {running_view(3, 1e6)}).has_value());
+      overlay(policy, {5}, 8, {running_view(3, 1e6)}).has_value());
   // With the machine empty the front op runs at its chosen width.
-  const auto d = policy.next_launch(graph_, {1, 2}, 68, {}, nullptr);
+  const auto d = launch(policy, {1, 2}, 68, {}, nullptr);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->ready_pos, 0u);
 }

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+
 #include "core/fifo_executor.hpp"
 #include "graph/builder.hpp"
 #include "core/runtime.hpp"
@@ -171,6 +175,102 @@ TEST_F(SchedulerTest, ThroughputGuardBlocksOutlastingOps) {
   ASSERT_GE(tiny_finish, 0.0);
   ASSERT_GE(huge_start, 0.0);
   EXPECT_GE(huge_start, tiny_finish * 0.999);
+}
+
+/// FNV-1a over every trace record and the step times of `results`: a
+/// fingerprint of the whole schedule, not just its makespan.
+class ScheduleDigest {
+ public:
+  void add(const std::vector<StepResult>& results) {
+    for (const StepResult& r : results) {
+      for (const TraceEvent& e : r.trace.events()) {
+        mix_double(e.time_ms);
+        mix(e.is_launch ? 1u : 0u);
+        mix(static_cast<std::uint64_t>(e.node));
+        mix(static_cast<std::uint64_t>(e.corun_after));
+      }
+      mix_double(r.time_ms);
+      mix_double(r.service_ms);
+      mix(r.ops_run);
+      mix(r.corun_launches);
+      mix(r.overlay_launches);
+      mix(r.cache_hits);
+      mix(r.guard_fallbacks);
+    }
+  }
+  std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xFFu;
+      h_ *= 0x100000001B3ull;
+    }
+  }
+  void mix_double(double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    mix(bits);
+  }
+  std::uint64_t h_ = 0xCBF29CE484222325ull;
+};
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// Schedule identity: pins the exact simulated schedule (every launch and
+// completion, its time and co-run level, plus step and service times) of
+// the zoo models under each strategy set and of one weighted 3-tenant step.
+// Two steps per runtime, so the learned state (decision cache, interference
+// record) a first step leaves behind is exercised too. Any refactor of the
+// dispatch path must leave these digests unchanged; a deliberate schedule
+// change updates them in the same commit.
+TEST(ScheduleIdentity, SimSchedulesArePinned) {
+  struct Case {
+    const char* model;
+    unsigned strategies;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"resnet50", kStrategyS12, 0xc4af268e81589da1ull},
+      {"resnet50", kStrategyS123, 0x5a3f2285ede15993ull},
+      {"resnet50", kStrategyAll, 0x5a3f2285ede15993ull},
+      {"dcgan", kStrategyS12, 0x3e58ea4f87d0701dull},
+      {"dcgan", kStrategyS123, 0x38626905a9fb8c04ull},
+      {"dcgan", kStrategyAll, 0xacc9c04dba4d4bf8ull},
+      {"inception_v3", kStrategyS12, 0x488792c0420de51dull},
+      {"inception_v3", kStrategyS123, 0xc0defc23abfa385bull},
+      {"inception_v3", kStrategyAll, 0xe36549edcc3e315cull},
+      {"lstm", kStrategyS12, 0xa089f7bc69e733e5ull},
+      {"lstm", kStrategyS123, 0xe5ead9cdfdb7b6c5ull},
+      {"lstm", kStrategyAll, 0x13c9055d5e540483ull},
+  };
+  for (const Case& c : cases) {
+    const Graph g = build_model(c.model);
+    RuntimeOptions opt;
+    opt.strategies = c.strategies;
+    Runtime rt(MachineSpec::knl(), opt);
+    rt.profile(g);
+    ScheduleDigest d;
+    for (int step = 0; step < 2; ++step) d.add({rt.run_step(g)});
+    EXPECT_EQ(hex(d.value()), hex(c.digest))
+        << c.model << " strategies=" << c.strategies;
+  }
+
+  const Graph ga = build_dcgan(8);
+  const Graph gb = build_lstm(4, 8, 64, 400);
+  const Graph gc = build_resnet50(8);
+  Runtime rt(MachineSpec::knl());
+  rt.profile_multi({&ga, &gb, &gc});
+  ScheduleDigest d;
+  for (int step = 0; step < 2; ++step)
+    d.add(rt.run_step_multi({&ga, &gb, &gc}, {1.0, 2.0, 4.0}));
+  EXPECT_EQ(hex(d.value()), hex(0x44e06e40de9b7d8dull))
+      << "3-tenant weighted step";
 }
 
 TEST(FifoExecutor, RecommendationRunsSerially) {

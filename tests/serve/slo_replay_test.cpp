@@ -205,7 +205,9 @@ TEST(SloReplay, ImpossibleDeadlineScoresZeroAttainment) {
   svc.submit(inf);
   svc.drain();
 
-  const JobRecord& rec = svc.snapshot().jobs[0];
+  // A copy: the snapshot is a temporary, so a reference into its job list
+  // would dangle by the next statement.
+  const JobRecord rec = svc.snapshot().jobs[0];
   EXPECT_EQ(rec.state, JobState::kCompleted);
   EXPECT_EQ(rec.slo_hits, 0u);
   EXPECT_DOUBLE_EQ(rec.slo_attainment(), 0.0);
@@ -230,7 +232,7 @@ TEST(SloReplay, ZooForwardViewServesThroughTheService) {
   svc.submit(inf);
   svc.drain();
 
-  const JobRecord& rec = svc.snapshot().jobs[0];
+  const JobRecord rec = svc.snapshot().jobs[0];  // copy, as above
   EXPECT_EQ(rec.state, JobState::kCompleted);
   EXPECT_EQ(rec.steps_done, 3);
   EXPECT_EQ(rec.slo_hits, 3u);

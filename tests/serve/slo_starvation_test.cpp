@@ -48,6 +48,15 @@ Graph script_graph() {
   return gb.take();
 }
 
+/// One admission decision over `tenants` (the batch-of-one walk).
+std::optional<MultiAdmissionDecision> launch_one(
+    AdmissionPolicy& p, const std::vector<TenantReadyView>& tenants, int idle,
+    const std::vector<RunningOpView>& running) {
+  const auto batch = p.next_launch_batch(tenants, idle, running, nullptr, 1);
+  if (batch.empty()) return std::nullopt;
+  return batch.front();
+}
+
 class SloFloorsTest : public ::testing::Test {
  protected:
   SloFloorsTest() : graph_(script_graph()) {
@@ -107,7 +116,7 @@ TEST_F(SloFloorsTest, LatencyTenantIsVisitedBeforeBatch) {
   const ReadyQueue r0{1}, r1{2};
   const std::vector<TenantReadyView> tenants = {{&graph_, &r0},
                                                 {&graph_, &r1}};
-  const auto d = p.next_launch_multi(tenants, 68, {}, nullptr);
+  const auto d = launch_one(p, tenants, 68, {});
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->tenant, 1u);
   EXPECT_EQ(p.tenant_floor(1), 4);
@@ -131,7 +140,7 @@ TEST_F(SloFloorsTest, FloorReservationNarrowsBatchPicks) {
                                                 {&graph_, &r1}};
   const auto running = std::vector<RunningOpView>{
       running_view(2, /*remaining=*/1e6, /*tenant=*/0, /*threads=*/2)};
-  const auto d = p.next_launch_multi(tenants, 16, running, nullptr);
+  const auto d = launch_one(p, tenants, 16, running);
   EXPECT_FALSE(d.has_value()) << "reservation should deny the 12-wide conv";
 
   // Control: the same situation with no floors grants the batch tenant its
@@ -141,7 +150,7 @@ TEST_F(SloFloorsTest, FloorReservationNarrowsBatchPicks) {
   q.configure_tenants(two_slots(0, 0));
   q.record_interference(TenantOpKey{10, OpKey::of(graph_.node(1))},
                         {TenantOpKey{10, OpKey::of(graph_.node(2))}});
-  const auto wide = q.next_launch_multi(tenants, 16, running, nullptr);
+  const auto wide = launch_one(q, tenants, 16, running);
   ASSERT_TRUE(wide.has_value());
   EXPECT_EQ(wide->tenant, 1u);
   EXPECT_EQ(wide->decision.candidate.threads, 12);
@@ -165,7 +174,7 @@ TEST_F(SloFloorsTest, MisappliedFloorsNeverStarveBatchOutright) {
                                                 {&graph_, &r1}};
   const auto running = std::vector<RunningOpView>{
       running_view(2, /*remaining=*/1e6, /*tenant=*/0, /*threads=*/2)};
-  const auto d = p.next_launch_multi(tenants, 16, running, nullptr);
+  const auto d = launch_one(p, tenants, 16, running);
   ASSERT_TRUE(d.has_value()) << "batch tenant starved by a mis-applied floor";
   EXPECT_EQ(d->tenant, 1u);
   EXPECT_EQ(d->decision.ready_pos, 1u);  // the tiny op, not the conv
@@ -182,11 +191,11 @@ TEST_F(SloFloorsTest, IdleLatencyTenantReservesNothing) {
                                                 {&graph_, &r1}};
   const auto running = std::vector<RunningOpView>{
       running_view(2, /*remaining=*/1e6, /*tenant=*/0, /*threads=*/2)};
-  const auto floored = p.next_launch_multi(tenants, 16, running, nullptr);
+  const auto floored = launch_one(p, tenants, 16, running);
 
   AdmissionPolicy q = make_policy();
   q.configure_tenants(two_slots(0, 0));
-  const auto control = q.next_launch_multi(tenants, 16, running, nullptr);
+  const auto control = launch_one(q, tenants, 16, running);
   ASSERT_TRUE(floored.has_value());
   ASSERT_TRUE(control.has_value());
   EXPECT_EQ(floored->tenant, control->tenant);

@@ -126,7 +126,8 @@ TEST(GraphFuzzTest, CoLocatedFuzzTenantsKeepTheirSoloChecksums) {
     HostCorunOptions host;
     host.cores = 4;
     HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
-    const std::vector<StepResult> r = exec.run_step_multi({&pa, &pb});
+    const std::vector<StepResult> r =
+        exec.run_step_multi({&pa, &pb}, TenantSet::slots(2));
     ASSERT_EQ(r.size(), 2u);
     EXPECT_EQ(r[0].ops_run, ga.size());
     EXPECT_EQ(r[1].ops_run, gb.size());
@@ -190,7 +191,8 @@ TEST(GraphFuzzTest, CoLocatedZooTenantsKeepTheirSoloChecksums) {
   HostCorunOptions host;
   host.cores = 4;
   HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
-  const std::vector<StepResult> r = exec.run_step_multi({&pa, &pb});
+  const std::vector<StepResult> r =
+      exec.run_step_multi({&pa, &pb}, TenantSet::slots(2));
   ASSERT_EQ(r.size(), 2u);
   EXPECT_EQ(r[0].ops_run, ga.size());
   EXPECT_EQ(r[1].ops_run, gb.size());
