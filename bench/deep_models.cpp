@@ -98,7 +98,7 @@ void run(Context& ctx) {
   Runtime rt(MachineSpec::knl());
   rt.profile_host_multi(programs, /*repeats=*/1);
   for (HostGraphProgram* p : programs) (void)rt.run_step_host(*p);
-  (void)rt.run_step_multi_host(programs);
+  (void)rt.run_step_multi_host(programs, TenantSet::slots(programs.size()));
 
   double solo_total = 0.0, coloc_total = 0.0;
   std::vector<StepResult> last_coloc;
@@ -113,7 +113,8 @@ void run(Context& ctx) {
     solo_total += wall_time_ms() - t0;
 
     t0 = wall_time_ms();
-    last_coloc = rt.run_step_multi_host(programs);
+    last_coloc =
+        rt.run_step_multi_host(programs, TenantSet::slots(programs.size()));
     coloc_total += wall_time_ms() - t0;
     for (std::size_t t = 0; t < 2; ++t) {
       if (last_coloc[t].checksum != reference[t]) {

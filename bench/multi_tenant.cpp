@@ -79,7 +79,8 @@ void run(Context& ctx) {
   // Warm-up both arrangements (first-use team spawn is real cost but a
   // different experiment; micro_threadpool measures it).
   for (HostGraphProgram* p : programs) (void)rt.run_step_host(*p);
-  (void)rt.run_step_multi_host(programs, weights);
+  (void)rt.run_step_multi_host(
+      programs, TenantSet::slots(programs.size(), weights));
 
   double solo_total = 0.0, coloc_total = 0.0;
   std::vector<StepResult> last_coloc;
@@ -98,7 +99,8 @@ void run(Context& ctx) {
     };
     const auto run_coloc = [&] {
       const double t0 = wall_time_ms();
-      last_coloc = rt.run_step_multi_host(programs, weights);
+      last_coloc = rt.run_step_multi_host(
+          programs, TenantSet::slots(programs.size(), weights));
       coloc_ms = wall_time_ms() - t0;
       for (std::size_t t = 0; t < tenants; ++t) {
         if (last_coloc[t].checksum != reference[t]) {

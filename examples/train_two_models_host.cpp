@@ -76,7 +76,8 @@ int main(int argc, char** argv) {
   // Warm-ups (first-use team spawn cost belongs to micro_threadpool).
   (void)rt.run_step_host(pa);
   (void)rt.run_step_host(pb);
-  (void)rt.run_step_multi_host(programs, weights);
+  (void)rt.run_step_multi_host(
+      programs, TenantSet::slots(programs.size(), weights));
 
   TablePrinter table({"Step", "solo-seq ms", "co-located ms", "t0 ms",
                       "t1 ms", "co-runs"});
@@ -90,7 +91,8 @@ int main(int argc, char** argv) {
     const double solo_ms = wall_time_ms() - t0;
 
     t0 = wall_time_ms();
-    coloc = rt.run_step_multi_host(programs, weights);
+    coloc = rt.run_step_multi_host(
+        programs, TenantSet::slots(programs.size(), weights));
     const double coloc_ms = wall_time_ms() - t0;
 
     checksums_agree = checksums_agree && solo_a.checksum == ref_a &&

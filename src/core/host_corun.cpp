@@ -32,6 +32,9 @@ double host_mem_intensity(const Node& node) {
 /// eligibility rule.
 constexpr double kComputeBoundCutoff = 0.45;
 
+/// EWMA weight of the newest (wall ms / predicted ms) calibration sample.
+constexpr double kCalibrationAlpha = 0.3;
+
 /// Sharded completion posting: one cache-line-aligned slot per launch lane,
 /// so launcher threads finishing concurrently each write their own line and
 /// never contend a shared mutex/deque. A lane has at most one op in flight
@@ -328,8 +331,9 @@ class HostCorunExecutor::Substrate final : public DispatchSubstrate {
       // expectation (recorder threshold, throughput-guard views).
       if (!ln.overlay) {
         const double ratio = c.actual_ms / ln.predicted_ms;
-        const double alpha = exec_.host_.calibration_alpha;
-        calib = calib == 0.0 ? ratio : (1.0 - alpha) * calib + alpha * ratio;
+        calib = calib == 0.0 ? ratio
+                             : (1.0 - kCalibrationAlpha) * calib +
+                                   kCalibrationAlpha * ratio;
       }
     }
     if (ln.overlay) {

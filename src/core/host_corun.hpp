@@ -47,8 +47,6 @@ namespace opsched {
 struct HostCorunOptions {
   /// Cores the executor schedules over; 0 means the pool's max width.
   std::size_t cores = 0;
-  /// EWMA weight of the newest (wall ms / predicted ms) calibration sample.
-  double calibration_alpha = 0.3;
   /// Admission decisions taken per dispatcher wake (AdmissionPolicy::
   /// next_launch_batch's max_launches): up to this many launches share one
   /// running-view snapshot and one walk set-up instead of paying them per

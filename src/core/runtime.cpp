@@ -22,24 +22,20 @@ ProfilingReport Runtime::profile(const Graph& g) {
   return profile_multi({&g});
 }
 
-ProfilingReport Runtime::profile_multi(
-    const std::vector<const Graph*>& graphs) {
+ProfilingReport Runtime::profile_graphs(
+    const std::vector<const Graph*>& graphs, const HillClimbParams& params,
+    const NodeMeasureFn& measure) {
   ProfilingReport report;
-  HillClimbParams params;
-  params.interval = options_.hill_climb_interval;
-  params.max_threads = static_cast<int>(spec_.num_cores);
   const HillClimbProfiler profiler(params);
-
   std::size_t max_samples_per_op = 0;
-  for (const Graph* g : graphs) {
-    for (const Node& n : g->nodes()) {
+  for (std::size_t t = 0; t < graphs.size(); ++t) {
+    for (const Node& n : graphs[t]->nodes()) {
       if (!op_kind_tunable(n.kind)) continue;
       const OpKey key = OpKey::of(n);
       if (db_.contains(key)) continue;
-      const MeasureFn measure = [&](int threads, AffinityMode mode) {
-        return model_.exec_time_ms(n, threads, mode);
-      };
-      ProfileCurve curve = profiler.profile(measure);
+      ProfileCurve curve = profiler.profile([&](int threads, AffinityMode m) {
+        return measure(t, n, threads, m);
+      });
       max_samples_per_op =
           std::max(max_samples_per_op, profiler.last_sample_count());
       report.total_samples += curve.total_samples();
@@ -52,15 +48,20 @@ ProfilingReport Runtime::profile_multi(
   return report;
 }
 
-StepResult Runtime::run_step(const Graph& g) {
-  return scheduler_->run_step(g, machine_);
+ProfilingReport Runtime::profile_multi(
+    const std::vector<const Graph*>& graphs) {
+  HillClimbParams params;
+  params.interval = options_.hill_climb_interval;
+  params.max_threads = static_cast<int>(spec_.num_cores);
+  return profile_graphs(
+      graphs, params,
+      [&](std::size_t, const Node& n, int threads, AffinityMode mode) {
+        return model_.exec_time_ms(n, threads, mode);
+      });
 }
 
-std::vector<StepResult> Runtime::run_step_multi(
-    const std::vector<const Graph*>& graphs,
-    const std::vector<double>& weights) {
-  return scheduler_->run_step_multi(
-      graphs, machine_, TenantSet::slots(graphs.size(), weights));
+StepResult Runtime::run_step(const Graph& g) {
+  return scheduler_->run_step(g, machine_);
 }
 
 std::vector<StepResult> Runtime::run_step_multi(
@@ -109,56 +110,31 @@ ProfilingReport Runtime::profile_host(HostGraphProgram& program,
 ProfilingReport Runtime::profile_host_multi(
     const std::vector<HostGraphProgram*>& programs, int repeats) {
   TeamPool& pool = host_pool();
-  ProfilingReport report;
   HillClimbParams params;
   params.interval = options_.hill_climb_interval;
   params.max_threads = static_cast<int>(pool.max_width());
   params.both_modes = false;  // the host pool has no tile topology
-  const HillClimbProfiler profiler(params);
-
   const int reps = std::max(1, repeats);
-  std::size_t max_samples_per_op = 0;
   std::vector<const Graph*> graphs;
   graphs.reserve(programs.size());
-  for (HostGraphProgram* program : programs) {
-    const Graph& g = program->graph();
-    graphs.push_back(&g);
-    for (const Node& n : g.nodes()) {
-      if (!op_kind_tunable(n.kind)) continue;
-      const OpKey key = OpKey::of(n);
-      if (db_.contains(key)) continue;
-      // The measurement is a REAL timed run of the node's bound kernel on a
-      // real team of the sampled width — concurrency control on physical
-      // hardware, the paper's actual setting. Tenants whose (kind, shape)
-      // keys coincide share one curve: the kernel is the same work.
-      const MeasureFn measure = [&](int threads, AffinityMode) {
+  for (HostGraphProgram* program : programs)
+    graphs.push_back(&program->graph());
+  // The measurement is a REAL timed run of the node's bound kernel on a
+  // real team of the sampled width — concurrency control on physical
+  // hardware, the paper's actual setting. Tenants whose (kind, shape) keys
+  // coincide share one curve: the kernel is the same work.
+  return profile_graphs(
+      graphs, params,
+      [&](std::size_t t, const Node& n, int threads, AffinityMode) {
         ThreadTeam& team = pool.team(static_cast<std::size_t>(threads));
         const double t0 = wall_time_ms();
-        for (int r = 0; r < reps; ++r) program->run_node(n.id, team);
+        for (int r = 0; r < reps; ++r) programs[t]->run_node(n.id, team);
         return (wall_time_ms() - t0) / static_cast<double>(reps);
-      };
-      ProfileCurve curve = profiler.profile(measure);
-      max_samples_per_op =
-          std::max(max_samples_per_op, profiler.last_sample_count());
-      report.total_samples += curve.total_samples();
-      db_.put(key, std::move(curve));
-      ++report.unique_ops;
-    }
-  }
-  report.profiling_steps = max_samples_per_op;
-  controller_->build(graphs);
-  return report;
+      });
 }
 
 StepResult Runtime::run_step_host(HostGraphProgram& program) {
   return host_executor().run_step(program);
-}
-
-std::vector<StepResult> Runtime::run_step_multi_host(
-    const std::vector<HostGraphProgram*>& programs,
-    const std::vector<double>& weights) {
-  return host_executor().run_step_multi(
-      programs, TenantSet::slots(programs.size(), weights));
 }
 
 std::vector<StepResult> Runtime::run_step_multi_host(

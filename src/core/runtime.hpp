@@ -16,6 +16,7 @@
 // (or call reset-free profile()/profile_host() for disjoint graphs only).
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "core/corun_scheduler.hpp"
@@ -57,14 +58,10 @@ class Runtime {
 
   /// One CO-LOCATED adaptive step over N tenants' graphs on the simulated
   /// machine (see CorunScheduler::run_step_multi). Returns one StepResult
-  /// per tenant, in input order.
-  std::vector<StepResult> run_step_multi(
-      const std::vector<const Graph*>& graphs,
-      const std::vector<double>& weights = {});
-
-  /// Stable-identity form (see TenantSet): the serving layer passes job ids
-  /// so learned state and fairness deficits follow jobs across between-step
-  /// tenant-set reconfigurations.
+  /// per tenant, in input order. `set` names the tenants: the serving layer
+  /// passes job ids so learned state and fairness deficits follow jobs
+  /// across between-step tenant-set reconfigurations; TenantSet::slots(n,
+  /// weights) gives the slot-indexed population.
   std::vector<StepResult> run_step_multi(
       const std::vector<const Graph*>& graphs, const TenantSet& set);
 
@@ -112,12 +109,7 @@ class Runtime {
   /// training job, scheduled together on the shared host core map; see
   /// HostCorunExecutor::run_step_multi). Returns one StepResult per tenant,
   /// in input order, each with that tenant's makespan, consumed service
-  /// time, and private step checksum.
-  std::vector<StepResult> run_step_multi_host(
-      const std::vector<HostGraphProgram*>& programs,
-      const std::vector<double>& weights = {});
-
-  /// Stable-identity form of run_step_multi_host (see TenantSet).
+  /// time, and private step checksum. `set` as for run_step_multi.
   std::vector<StepResult> run_step_multi_host(
       const std::vector<HostGraphProgram*>& programs, const TenantSet& set);
 
@@ -149,6 +141,16 @@ class Runtime {
   CorunScheduler& scheduler() noexcept { return *scheduler_; }
 
  private:
+  /// Times one tunable node of graphs[tenant] at a sampled width.
+  using NodeMeasureFn = std::function<double(
+      std::size_t tenant, const Node& node, int threads, AffinityMode mode)>;
+  /// The hill-climb pass both profile_multi and profile_host_multi run:
+  /// every tunable op whose (kind, shape) key the database lacks is climbed
+  /// once with `measure`, then the decisions are rebuilt over the union.
+  ProfilingReport profile_graphs(const std::vector<const Graph*>& graphs,
+                                 const HillClimbParams& params,
+                                 const NodeMeasureFn& measure);
+
   RuntimeOptions options_;
   MachineSpec spec_;
   CostModel model_;

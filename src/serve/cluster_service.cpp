@@ -9,9 +9,19 @@
 
 namespace opsched::serve {
 
+namespace {
+/// Hard cap on migrations per pump cycle (each one is a shard withdraw +
+/// resubmit; unbounded rebalancing could thrash a bursty queue).
+constexpr std::size_t kMaxMigrationsPerPump = 2;
+/// A queued job's move must improve the balance objective by more than
+/// this to be worth the requeue.
+constexpr double kMigrationMinGain = 1e-9;
+}  // namespace
+
 ClusterService::ClusterService(const MachineSpec& shard_spec,
                                ClusterServiceOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      pump_(*this, "ClusterService", "run_pump") {
   if (options_.num_shards == 0)
     throw std::invalid_argument("ClusterService: zero shards");
   runtimes_.reserve(options_.num_shards);
@@ -44,20 +54,20 @@ ClusterService::~ClusterService() { stop(); }
 
 ClusterJobId ClusterService::submit(JobSpec spec) {
   validate_job_spec(spec);
-  std::unique_lock<std::mutex> lk(mu_);
-  if (stopped_ || stop_requested_)
+  auto lk = pump_.lock();
+  if (pump_.stopping())
     throw std::logic_error("ClusterService::submit: cluster stopped");
   Job job;
   job.submit_ms = fleet_now_locked();
   job.demand.profiled = false;  // nothing known until a shard profiles it
   job.spec = std::move(spec);
   jobs_.push_back(std::move(job));
-  cv_.notify_all();
+  pump_.notify();
   return static_cast<ClusterJobId>(jobs_.size());
 }
 
 bool ClusterService::cancel(ClusterJobId id) {
-  std::unique_lock<std::mutex> lk(mu_);
+  auto lk = pump_.lock();
   if (id == kInvalidClusterJob || id > jobs_.size()) return false;
   Job& job = jobs_[id - 1];
   if (!job.placed) {
@@ -65,147 +75,39 @@ bool ClusterService::cancel(ClusterJobId id) {
     // Never reached a shard: close it at the front door, synchronously.
     job.cancelled_unplaced = true;
     job.cancel_requested = true;
-    cv_.notify_all();
+    pump_.notify();
     return true;
   }
   job.cancel_requested = true;
   const bool accepted = shards_[job.shard]->cancel(job.local_id);
-  cv_.notify_all();
+  pump_.notify();
   return accepted;
 }
 
-void ClusterService::start() {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (stopped_)
-    throw std::logic_error("ClusterService::start: cluster stopped");
-  if (started_)
-    throw std::logic_error("ClusterService::start: already started");
-  started_ = true;
-  thread_ = std::thread([this] { pump_loop(); });
-}
-
-void ClusterService::stop() {
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!started_) {
-      stopped_ = true;
-      return;
-    }
-    stop_requested_ = true;
-    cv_.notify_all();
+bool ClusterService::pump_work_pending() const {
+  for (const Job& job : jobs_) {
+    if (!job.placed && !job.cancelled_unplaced) return true;
+    // A cancel on a placed job needs the pump to drive that shard's
+    // boundary pass.
+    if (job.placed && job.cancel_requested) return true;
   }
-  thread_.join();
-  std::unique_lock<std::mutex> lk(mu_);
-  started_ = false;
-  stopped_ = true;
-}
-
-void ClusterService::pump_loop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  while (!stop_requested_) {
-    bool progress;
-    try {
-      progress = pump(lk);
-    } catch (...) {
-      failure_ = std::current_exception();
-      stop_requested_ = true;
-      cv_.notify_all();
-      return;
-    }
-    cv_.notify_all();  // waiters re-check job states after every pump
-    if (stop_requested_) break;
-    if (!progress) {
-      cv_.wait(lk, [&] {
-        if (stop_requested_) return true;
-        for (const Job& job : jobs_)
-          if (!job.placed && !job.cancelled_unplaced) return true;
-        // A cancel on a placed job needs the pump to drive that shard's
-        // boundary pass.
-        for (const Job& job : jobs_)
-          if (job.placed && job.cancel_requested) return true;
-        return false;
-      });
-    }
-  }
-}
-
-void ClusterService::drain() {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (started_ && !stop_requested_) {
-    cv_.wait(lk, [&] {
-      return all_terminal_locked() || failure_ != nullptr || stop_requested_;
-    });
-    if (failure_ != nullptr) std::rethrow_exception(failure_);
-    if (!all_terminal_locked())
-      throw std::logic_error(
-          "ClusterService::drain: cluster stopped with jobs outstanding");
-    return;
-  }
-  if (started_) {
-    if (failure_ != nullptr) std::rethrow_exception(failure_);
-    throw std::logic_error("ClusterService::drain: racing stop()");
-  }
-  if (pumping_inline_)
-    throw std::logic_error("ClusterService::drain: concurrent inline drain");
-  pumping_inline_ = true;
-  try {
-    while (!all_terminal_locked()) {
-      const bool progress = pump(lk);
-      if (!progress && !all_terminal_locked()) {
-        throw std::logic_error(
-            "ClusterService::drain: no progress with non-terminal jobs");
-      }
-    }
-  } catch (...) {
-    pumping_inline_ = false;
-    throw;
-  }
-  pumping_inline_ = false;
-}
-
-bool ClusterService::run_pump() {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (started_)
-    throw std::logic_error(
-        "ClusterService::run_pump: background pump owns the loop");
-  if (pumping_inline_)
-    throw std::logic_error("ClusterService::run_pump: concurrent driver");
-  pumping_inline_ = true;
-  bool progress;
-  try {
-    progress = pump(lk);
-  } catch (...) {
-    pumping_inline_ = false;
-    throw;
-  }
-  pumping_inline_ = false;
-  return progress;
+  return false;
 }
 
 FleetJob ClusterService::wait(ClusterJobId id) {
-  std::unique_lock<std::mutex> lk(mu_);
+  auto lk = pump_.lock();
   if (id == kInvalidClusterJob || id > jobs_.size())
     throw std::out_of_range("ClusterService::wait: unknown job " +
                             std::to_string(id));
   const auto terminal = [&] {
     return job_state_terminal(fleet_job_locked(id, jobs_[id - 1]).record.state);
   };
-  if (terminal()) return fleet_job_locked(id, jobs_[id - 1]);
-  if (!started_)
-    throw std::logic_error(
-        "ClusterService::wait: pump not started (drain() drives it inline "
-        "instead)");
-  cv_.wait(lk, [&] {
-    return terminal() || failure_ != nullptr || stop_requested_;
-  });
-  if (terminal()) return fleet_job_locked(id, jobs_[id - 1]);
-  if (failure_ != nullptr) std::rethrow_exception(failure_);
-  throw std::logic_error(
-      "ClusterService::wait: cluster stopped before the job finished");
+  pump_.wait(lk, terminal);
+  return fleet_job_locked(id, jobs_[id - 1]);
 }
 
 FleetSnapshot ClusterService::snapshot() const {
-  std::unique_lock<std::mutex> lk(mu_);
+  auto lk = pump_.lock();
   FleetSnapshot snap;
   snap.jobs.reserve(jobs_.size());
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
@@ -235,18 +137,13 @@ FleetSnapshot ClusterService::snapshot() const {
   return snap;
 }
 
-bool ClusterService::started() const {
-  std::unique_lock<std::mutex> lk(mu_);
-  return started_;
-}
-
 double ClusterService::fleet_now_locked() const {
   double now = 0.0;
   for (const auto& shard : shards_) now = std::max(now, shard->now_ms());
   return now;
 }
 
-bool ClusterService::all_terminal_locked() const {
+bool ClusterService::pump_all_terminal() const {
   for (const Job& job : jobs_) {
     if (!job.placed) {
       if (!job.cancelled_unplaced) return false;
@@ -365,11 +262,11 @@ void ClusterService::place_pending_locked() {
 }
 
 void ClusterService::migrate_queued_locked() {
-  if (!options_.enable_migration || shards_.size() < 2) return;
+  if (shards_.size() < 2) return;
   std::vector<ShardLoad> loads = shard_loads_locked();
   std::size_t moved = 0;
   for (std::size_t i = 0;
-       i < jobs_.size() && moved < options_.max_migrations_per_pump; ++i) {
+       i < jobs_.size() && moved < kMaxMigrationsPerPump; ++i) {
     Job& job = jobs_[i];
     if (!job.placed || job.cancel_requested) continue;
     const JobRecord rec = shards_[job.shard]->job_record(job.local_id);
@@ -400,7 +297,7 @@ void ClusterService::migrate_queued_locked() {
     };
     const double gain = term(loads[from], 0.0) + term(loads[to], 0.0) -
                         term(loads[from], -w) - term(loads[to], w);
-    if (gain <= options_.migration_min_gain) continue;
+    if (gain <= kMigrationMinGain) continue;
 
     std::optional<JobSpec> spec = shards_[from]->withdraw(job.local_id);
     if (!spec.has_value()) continue;  // state changed under us: leave it
@@ -427,7 +324,7 @@ void ClusterService::update_load_gauges_locked() {
     m_shard_load_[s]->set(loads[s].width);
 }
 
-bool ClusterService::pump(std::unique_lock<std::mutex>& lk) {
+bool ClusterService::pump_cycle(std::unique_lock<std::mutex>& lk) {
   bool progress = false;
 
   // Close out front-door cancellations of still-unplaced jobs (cancel()

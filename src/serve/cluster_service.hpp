@@ -19,25 +19,22 @@
 //   - FLEET SNAPSHOT: one view aggregating the per-shard ledgers, keyed by
 //     fleet-wide ClusterJobIds; per-shard books ride along for inspection.
 //
-// Determinism: the whole fleet is driven by ONE pump (inline in drain(),
-// or the single background pump thread started by start() — the same
-// deterministic pump body either way; shard service threads are never
-// started). With every shard on the virtual clock, identical submit traces
-// and seeds replay the entire fleet bit-identically, including placement
-// and migration decisions (the annealer runs on a seeded stream).
+// Determinism: the whole fleet is driven by ONE pump (a serve::Pump, the
+// driver SchedulerService uses too: inline in drain(), or the single
+// background pump thread started by start() — the same deterministic pump
+// body either way; shard service threads are never started). With every
+// shard on the virtual clock, identical submit traces and seeds replay the
+// entire fleet bit-identically, including placement and migration
+// decisions (the annealer runs on a seeded stream).
 //
 // Threading: submit/cancel/snapshot/wait/drain are safe from any thread,
 // exactly like SchedulerService. Per-shard timestamps are on that shard's
 // own clock; fleet now_ms is the maximum over shards.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -45,6 +42,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/placement.hpp"
+#include "serve/pump.hpp"
 #include "serve/service.hpp"
 
 namespace opsched::serve {
@@ -61,15 +59,6 @@ struct ClusterServiceOptions {
   /// Scheduling options forwarded to every shard's Runtime.
   RuntimeOptions runtime;
   PlacementOptions placement;
-  /// Rebalance still-queued jobs between shards when moving one improves
-  /// the placement objective.
-  bool enable_migration = true;
-  /// Hard cap on migrations per pump cycle (each one is a shard withdraw +
-  /// resubmit; unbounded rebalancing could thrash a bursty queue).
-  std::size_t max_migrations_per_pump = 2;
-  /// A queued job's move must improve the balance objective by more than
-  /// this to be worth the requeue.
-  double migration_min_gain = 1e-9;
   /// Fleet telemetry (both may be null = detached). The cluster registers
   /// its cluster_* family here and hands the same registry/collector to
   /// every shard: shard metrics arrive qualified with {shard="<s>"} and
@@ -123,7 +112,7 @@ struct FleetSnapshot {
   obs::MetricsSnapshot metrics;
 };
 
-class ClusterService {
+class ClusterService : private Pump::Owner {
  public:
   /// Builds `num_shards` identical machines: one Runtime over `shard_spec`
   /// and one SchedulerService each. Throws std::invalid_argument when
@@ -146,21 +135,21 @@ class ClusterService {
   /// Spawns the background pump thread (the ONLY thread that drives the
   /// shards — their own service threads are never started, so the fleet
   /// stays on one deterministic pump path).
-  void start();
+  void start() { pump_.start(); }
 
   /// Stops the background pump after the in-flight pump cycle. Idempotent;
   /// after stop() the cluster rejects submits.
-  void stop();
+  void stop() { pump_.stop(); }
 
   /// Blocks until every job submitted so far is terminal. With the
   /// background pump running this waits; otherwise it RUNS the pump inline
   /// on this thread (the deterministic mode the replay tests script).
-  void drain();
+  void drain() { pump_.drain(); }
 
   /// Inline mode: one pump cycle — place pending jobs, rebalance queued
   /// ones, then one service cycle on every shard. Returns true if any
   /// shard made progress or any placement/migration/cancel happened.
-  bool run_pump();
+  bool run_pump() { return pump_.run_once(); }
 
   /// Blocks until `id` is terminal and returns its fleet record. Requires
   /// the background pump (use drain() inline). Throws std::out_of_range on
@@ -169,7 +158,7 @@ class ClusterService {
 
   FleetSnapshot snapshot() const;
 
-  bool started() const;
+  bool started() const { return pump_.started(); }
   std::size_t num_shards() const noexcept { return shards_.size(); }
   /// Shard internals, for tests and tooling. The cluster owns the shard —
   /// do not drive its loop (run_cycle/drain/start) while the cluster runs.
@@ -197,7 +186,13 @@ class ClusterService {
     double submit_ms = 0.0;
   };
 
-  bool pump(std::unique_lock<std::mutex>& lk);
+  /// One pump cycle (see run_pump); `lk` held, released while the shards
+  /// step.
+  bool pump_cycle(std::unique_lock<std::mutex>& lk) override;
+  /// An unplaced job to place, or a placed job's cancel for its shard's
+  /// boundary pass.
+  bool pump_work_pending() const override;
+  bool pump_all_terminal() const override;
   void place_pending_locked();
   void migrate_queued_locked();
   /// Refreshes cluster_objective / cluster_shard_load gauges from the
@@ -213,15 +208,11 @@ class ClusterService {
   /// never-placed jobs).
   FleetJob fleet_job_locked(ClusterJobId id, const Job& job) const;
   double fleet_now_locked() const;
-  bool all_terminal_locked() const;
-  void pump_loop();
 
   ClusterServiceOptions options_;
   std::vector<std::unique_ptr<Runtime>> runtimes_;
   std::vector<std::unique_ptr<SchedulerService>> shards_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<Job> jobs_;  // index = ClusterJobId - 1 (ids never recycle)
   std::size_t placements_ = 0;
   std::size_t migrations_ = 0;
@@ -236,12 +227,9 @@ class ClusterService {
   obs::Gauge* m_objective_before_ = nullptr;
   std::vector<obs::Gauge*> m_shard_load_;  // index = shard
 
-  bool started_ = false;
-  bool stopped_ = false;
-  bool stop_requested_ = false;
-  bool pumping_inline_ = false;
-  std::exception_ptr failure_ = nullptr;
-  std::thread thread_;
+  /// Drives pump_cycle(); its lock guards the cluster's books above (the
+  /// shards guard their own).
+  Pump pump_;
 };
 
 }  // namespace opsched::serve

@@ -13,6 +13,11 @@
 
 namespace opsched::serve {
 
+namespace {
+/// Timed repeats per host profiling sample (Runtime::profile_host_multi).
+constexpr int kProfileRepeats = 1;
+}  // namespace
+
 const char* substrate_name(Substrate s) noexcept {
   switch (s) {
     case Substrate::kSimulated: return "sim";
@@ -27,7 +32,8 @@ SchedulerService::SchedulerService(Runtime& runtime, ServiceOptions options)
       cores_(options.substrate == Substrate::kHost
                  ? runtime.host_executor().cores()
                  : runtime.machine().spec().num_cores),
-      admission_(options.admission, cores_) {
+      admission_(options.admission, cores_),
+      pump_(*this, "SchedulerService", "run_cycle") {
   init_telemetry();
 }
 
@@ -92,31 +98,15 @@ void SchedulerService::trace_job_locked(const JobRecord& rec) {
   if (options_.trace == nullptr) return;
   const auto tid = static_cast<std::uint32_t>(rec.id);
   const double queued_end = rec.admit_ms >= 0.0 ? rec.admit_ms : rec.finish_ms;
-  obs::TraceSpan whole;
-  whole.name = "job " + rec.name;
-  whole.cat = "job";
-  whole.pid = options_.trace_pid;
-  whole.tid = tid;
-  whole.start_ms = rec.submit_ms;
-  whole.dur_ms = rec.finish_ms - rec.submit_ms;
-  options_.trace->span(std::move(whole));
-  obs::TraceSpan queued;
-  queued.name = "queued";
-  queued.cat = "phase";
-  queued.pid = options_.trace_pid;
-  queued.tid = tid;
-  queued.start_ms = rec.submit_ms;
-  queued.dur_ms = queued_end - rec.submit_ms;
-  options_.trace->span(std::move(queued));
+  const std::uint32_t pid = options_.trace_pid;
+  options_.trace->span({"job " + rec.name, "job", pid, tid, rec.submit_ms,
+                        rec.finish_ms - rec.submit_ms});
+  options_.trace->span({"queued", "phase", pid, tid, rec.submit_ms,
+                        queued_end - rec.submit_ms});
   if (rec.admit_ms >= 0.0) {
-    obs::TraceSpan run;
-    run.name = rec.state == JobState::kCompleted ? "run" : "run (cancelled)";
-    run.cat = "phase";
-    run.pid = options_.trace_pid;
-    run.tid = tid;
-    run.start_ms = rec.admit_ms;
-    run.dur_ms = rec.finish_ms - rec.admit_ms;
-    options_.trace->span(std::move(run));
+    options_.trace->span(
+        {rec.state == JobState::kCompleted ? "run" : "run (cancelled)",
+         "phase", pid, tid, rec.admit_ms, rec.finish_ms - rec.admit_ms});
   }
 }
 
@@ -132,8 +122,8 @@ JobId SchedulerService::submit(JobSpec spec) {
   if (spec.kind == JobKind::kInference)
     spec.width_floor = admission_.clamped_floor(spec.width_floor);
 
-  std::unique_lock<std::mutex> lk(mu_);
-  if (stopped_ || stop_requested_)
+  auto lk = pump_.lock();
+  if (pump_.stopping())
     throw std::logic_error("SchedulerService::submit: service stopped");
 
   JobRecord& rec = ledger_.add(spec, now_locked());
@@ -166,23 +156,23 @@ JobId SchedulerService::submit(JobSpec spec) {
                                    "job " + std::to_string(id) + " " +
                                        ledger_.at(id).name);
   }
-  cv_.notify_all();
+  pump_.notify();
   return id;
 }
 
 bool SchedulerService::cancel(JobId id) {
-  std::unique_lock<std::mutex> lk(mu_);
+  auto lk = pump_.lock();
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) return false;
   if (job_state_terminal(ledger_.at(id).state)) return false;
   it->second->cancel_requested = true;
   pending_cancel_ = true;
-  cv_.notify_all();
+  pump_.notify();
   return true;
 }
 
 std::optional<JobSpec> SchedulerService::withdraw(JobId id) {
-  std::unique_lock<std::mutex> lk(mu_);
+  auto lk = pump_.lock();
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) return std::nullopt;
   // Exactly kQueued: running jobs keep their machine (the step is atomic
@@ -200,7 +190,7 @@ std::optional<JobSpec> SchedulerService::withdraw(JobId id) {
 }
 
 JobRecord SchedulerService::job_record(JobId id) const {
-  std::unique_lock<std::mutex> lk(mu_);
+  auto lk = pump_.lock();
   JobRecord rec = ledger_.at(id);
   book_latency_percentiles_locked(rec);
   return rec;
@@ -214,7 +204,7 @@ void SchedulerService::book_latency_percentiles_locked(JobRecord& rec) const {
 }
 
 WidthDemand SchedulerService::demand_of(JobId id) const {
-  std::unique_lock<std::mutex> lk(mu_);
+  auto lk = pump_.lock();
   const auto it = jobs_.find(id);
   if (it == jobs_.end())
     throw std::out_of_range("SchedulerService::demand_of: unknown job " +
@@ -227,134 +217,17 @@ WidthDemand SchedulerService::demand_of(JobId id) const {
   return it->second->demand;
 }
 
-void SchedulerService::start() {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (stopped_)
-    throw std::logic_error("SchedulerService::start: service stopped");
-  if (started_)
-    throw std::logic_error("SchedulerService::start: already started");
-  started_ = true;
-  thread_ = std::thread([this] { loop(); });
-}
-
-void SchedulerService::stop() {
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!started_) {
-      stopped_ = true;
-      return;
-    }
-    stop_requested_ = true;
-    cv_.notify_all();
-  }
-  thread_.join();
-  std::unique_lock<std::mutex> lk(mu_);
-  started_ = false;
-  stopped_ = true;
-}
-
-void SchedulerService::loop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  while (!stop_requested_) {
-    CycleOutcome out;
-    try {
-      out = cycle(lk);
-    } catch (...) {
-      // A cycle failure (e.g. the checksum corruption detector) parks the
-      // loop; drain()/wait() rethrow it to a client thread instead of
-      // hanging forever on jobs that will never finish.
-      failure_ = std::current_exception();
-      stop_requested_ = true;
-      cv_.notify_all();
-      return;
-    }
-    if (stop_requested_) break;
-    if (out == CycleOutcome::kIdle) {
-      cv_.wait(lk, [&] { return stop_requested_ || work_pending_locked(); });
-    }
-  }
-}
-
-bool SchedulerService::work_pending_locked() const {
+bool SchedulerService::pump_work_pending() const {
   return !queue_.empty() || pending_cancel_;
 }
 
-void SchedulerService::drain() {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (started_ && !stop_requested_) {
-    // stop_requested_ in the predicate: a concurrent stop() parks the loop
-    // with jobs outstanding, and this waiter must wake and report instead
-    // of sleeping on a notification that will never come.
-    cv_.wait(lk, [&] {
-      return ledger_.all_terminal() || failure_ != nullptr || stop_requested_;
-    });
-    if (failure_ != nullptr) std::rethrow_exception(failure_);
-    if (!ledger_.all_terminal())
-      throw std::logic_error(
-          "SchedulerService::drain: service stopped with jobs outstanding");
-    return;
-  }
-  if (started_) {
-    if (failure_ != nullptr) std::rethrow_exception(failure_);
-    throw std::logic_error("SchedulerService::drain: racing stop()");
-  }
-  // Inline mode: this thread IS the service loop until the books close.
-  if (draining_inline_)
-    throw std::logic_error("SchedulerService::drain: concurrent inline drain");
-  draining_inline_ = true;
-  try {
-    while (!ledger_.all_terminal()) {
-      const CycleOutcome out = cycle(lk);
-      if (out == CycleOutcome::kIdle && !ledger_.all_terminal()) {
-        throw std::logic_error(
-            "SchedulerService::drain: idle with non-terminal jobs");
-      }
-    }
-  } catch (...) {
-    draining_inline_ = false;
-    throw;
-  }
-  draining_inline_ = false;
-}
-
-bool SchedulerService::run_cycle() {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (started_)
-    throw std::logic_error(
-        "SchedulerService::run_cycle: background thread owns the loop");
-  if (draining_inline_)
-    throw std::logic_error("SchedulerService::run_cycle: concurrent driver");
-  draining_inline_ = true;
-  CycleOutcome out;
-  try {
-    out = cycle(lk);
-  } catch (...) {
-    draining_inline_ = false;
-    throw;
-  }
-  draining_inline_ = false;
-  return out == CycleOutcome::kWorked;
-}
-
 JobRecord SchedulerService::wait(JobId id) {
-  std::unique_lock<std::mutex> lk(mu_);
-  const JobRecord* rec = ledger_.find(id);
-  if (rec == nullptr)
+  auto lk = pump_.lock();
+  if (ledger_.find(id) == nullptr)
     throw std::out_of_range("SchedulerService::wait: unknown job " +
                             std::to_string(id));
-  if (job_state_terminal(rec->state)) return *rec;
-  if (!started_)
-    throw std::logic_error(
-        "SchedulerService::wait: service not started (drain() drives the "
-        "loop inline instead)");
-  cv_.wait(lk, [&] {
-    return job_state_terminal(ledger_.at(id).state) || failure_ != nullptr ||
-           stop_requested_;
-  });
-  if (job_state_terminal(ledger_.at(id).state)) return ledger_.at(id);
-  if (failure_ != nullptr) std::rethrow_exception(failure_);
-  throw std::logic_error(
-      "SchedulerService::wait: service stopped before the job finished");
+  pump_.wait(lk, [&] { return job_state_terminal(ledger_.at(id).state); });
+  return ledger_.at(id);
 }
 
 double SchedulerService::now_locked() const {
@@ -394,7 +267,7 @@ double SchedulerService::next_arrival_ms_locked() const {
 }
 
 ServiceSnapshot SchedulerService::snapshot() const {
-  std::unique_lock<std::mutex> lk(mu_);
+  auto lk = pump_.lock();
   ServiceSnapshot snap;
   snap.jobs = ledger_.snapshot();
   for (JobRecord& rec : snap.jobs) book_latency_percentiles_locked(rec);
@@ -407,20 +280,16 @@ ServiceSnapshot SchedulerService::snapshot() const {
   snap.reconfigurations = reconfigurations_;
   snap.stepped_service_ms = stepped_service_ms_;
   snap.now_ms = now_locked();
-  // Under mu_ with every counter update also under mu_: the registry view
-  // and the ledger copy above are mutually consistent (no torn reads).
+  // Under the pump lock with every counter update also under it: the
+  // registry view and the ledger copy above are mutually consistent (no
+  // torn reads).
   if (options_.metrics != nullptr) snap.metrics = options_.metrics->snapshot();
   return snap;
 }
 
 double SchedulerService::now_ms() const {
-  std::unique_lock<std::mutex> lk(mu_);
+  auto lk = pump_.lock();
   return now_locked();
-}
-
-bool SchedulerService::started() const {
-  std::unique_lock<std::mutex> lk(mu_);
-  return started_;
 }
 
 void SchedulerService::finish_job_locked(JobId id, JobState terminal) {
@@ -446,7 +315,7 @@ void SchedulerService::finish_job_locked(JobId id, JobState terminal) {
   job.program.reset();
   job.spec.graph = Graph();
   job.latencies = std::vector<double>();
-  cv_.notify_all();
+  pump_.notify();
 }
 
 void SchedulerService::apply_cancels_locked() {
@@ -504,13 +373,13 @@ void SchedulerService::admission_pass(std::unique_lock<std::mutex>& lk) {
                   job.spec.graph, job.spec.seed, /*tenant=*/0);
             }
             report = runtime_.profile_host_multi({job.program.get()},
-                                                 options_.profile_repeats);
+                                                 kProfileRepeats);
           } else {
             report = runtime_.profile_multi({&job.spec.graph});
           }
           demand = estimate_demand(job.spec.graph, runtime_.database());
         } catch (...) {
-          // cycle() must exit with the lock held whatever happens in the
+          // pump_cycle() must exit with the lock held whatever happens in the
           // unlocked region — the loop/drain handlers mutate shared state.
           lk.lock();
           ledger_.transition(id, JobState::kQueued, now_locked());
@@ -618,7 +487,7 @@ void SchedulerService::run_one_step(std::unique_lock<std::mutex>& lk) {
                   ? runtime_.run_step_multi_host(programs, set)
                   : runtime_.run_step_multi(graphs, set);
   } catch (...) {
-    // cycle() must exit with the lock held whatever happens in the
+    // pump_cycle() must exit with the lock held whatever happens in the
     // unlocked region — the loop/drain handlers mutate shared state.
     lk.lock();
     decisions_stale_ = true;
@@ -687,7 +556,7 @@ void SchedulerService::run_one_step(std::unique_lock<std::mutex>& lk) {
     if (options_.substrate == Substrate::kHost) {
       if (rec.steps_done == 1) {
         rec.checksum = r.checksum;
-      } else if (options_.verify_checksums && r.checksum != rec.checksum) {
+      } else if (r.checksum != rec.checksum) {
         throw std::logic_error(
             "SchedulerService: job " + std::to_string(stepped[t]) +
             " step checksum drifted — co-run corruption");
@@ -704,14 +573,13 @@ void SchedulerService::run_one_step(std::unique_lock<std::mutex>& lk) {
       finish_job_locked(id, JobState::kCompleted);
     }
   }
-  cv_.notify_all();
+  pump_.notify();
 }
 
-SchedulerService::CycleOutcome SchedulerService::cycle(
-    std::unique_lock<std::mutex>& lk) {
+bool SchedulerService::pump_cycle(std::unique_lock<std::mutex>& lk) {
   apply_cancels_locked();
   admission_pass(lk);
-  if (resident_.empty()) return CycleOutcome::kIdle;
+  if (resident_.empty()) return false;
   if (steppable_locked(now_locked()).empty()) {
     // Every resident tenant is an inference job between requests. The
     // open loop says when work arrives next — jump the virtual clock
@@ -724,25 +592,21 @@ SchedulerService::CycleOutcome SchedulerService::cycle(
       // is defense in depth). There is nothing to wait FOR: report idle
       // instead of feeding an unbounded duration to the clock or the
       // condition variable.
-      return CycleOutcome::kIdle;
+      return false;
     }
     if (options_.clock == ClockMode::kVirtual) {
       vnow_ = std::max(vnow_, next);
     } else {
-      // Bounded nap: never sleep past max_idle_wait_ms in one go, however
-      // far the next arrival is — an unbounded cv_.wait_for would wedge
-      // the loop (and the cluster pump driving it) on a far-future trace.
-      const double wait_ms = std::min(next - wall_time_ms(),
-                                      std::max(1.0, options_.max_idle_wait_ms));
-      if (wait_ms > 0.0) {
-        cv_.wait_for(lk, std::chrono::duration<double, std::milli>(wait_ms),
-                     [&] { return stop_requested_ || work_pending_locked(); });
-      }
+      // Bounded nap: never sleep past kMaxIdleWaitMs in one go, however
+      // far the next arrival is (see kMaxIdleWaitMs).
+      const double wait_ms = std::min(next - wall_time_ms(), kMaxIdleWaitMs);
+      if (wait_ms > 0.0)
+        pump_.nap(lk, std::chrono::duration<double, std::milli>(wait_ms));
     }
-    return CycleOutcome::kWorked;
+    return true;
   }
   run_one_step(lk);
-  return CycleOutcome::kWorked;
+  return true;
 }
 
 }  // namespace opsched::serve

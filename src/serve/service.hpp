@@ -26,18 +26,16 @@
 // Threading: submit/cancel/snapshot/wait/drain are safe from any thread.
 // The scheduling loop runs either on a background service thread
 // (start()/stop()) or inline on the caller of drain() — the loop body is
-// the same cycle() either way. Exactly one thread drives the loop at a
-// time; the Runtime is only ever touched from that thread.
+// the same pump_cycle() either way, driven by the serve::Pump shared
+// with ClusterService. Exactly one thread drives the loop at a time; the
+// Runtime is only ever touched from that thread.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -46,6 +44,7 @@
 #include "serve/admission_control.hpp"
 #include "serve/job.hpp"
 #include "serve/job_ledger.hpp"
+#include "serve/pump.hpp"
 
 namespace opsched::serve {
 
@@ -78,19 +77,6 @@ struct ServiceOptions {
   Substrate substrate = Substrate::kSimulated;
   ClockMode clock = ClockMode::kWall;
   AdmissionOptions admission;
-  /// Timed repeats per host profiling sample (Runtime::profile_host_multi).
-  int profile_repeats = 1;
-  /// Wall-clock mode: the longest single idle sleep (ms) while every
-  /// resident inference tenant is between requests. The loop used to sleep
-  /// straight through to the next arrival — with a far-future (or, via a
-  /// malformed trace, non-finite) arrival that turned into an unbounded
-  /// cv_.wait_for. Now each idle nap is capped here and the loop re-checks
-  /// the world. Ignored on the virtual clock, which jumps instead of
-  /// sleeping.
-  double max_idle_wait_ms = 50.0;
-  /// Host substrate: throw std::logic_error if a job's step checksum ever
-  /// differs from its first step's — the cross-job corruption detector.
-  bool verify_checksums = true;
 
   /// Fleet telemetry (both borrowed; must outlive the service; may be
   /// null). `metrics` receives the serve_* family — and, on the host
@@ -107,6 +93,13 @@ struct ServiceOptions {
   std::string instance;
   std::uint32_t trace_pid = 1;
 };
+
+/// Wall-clock mode: the longest single idle sleep (ms) while every resident
+/// inference tenant is between requests. Sleeping straight through to the
+/// next arrival would, with a far-future arrival, wedge the loop (and any
+/// cluster pump driving it) for as long; each nap is capped here and the
+/// loop re-checks the world. The virtual clock jumps instead of sleeping.
+inline constexpr double kMaxIdleWaitMs = 50.0;
 
 /// Host per-op spans use wall time while serve spans may use the virtual
 /// clock, so they live in a separate trace process: pid + this offset.
@@ -144,7 +137,12 @@ struct ServiceSnapshot {
 /// service per Runtime — the service assumes exclusive use of the
 /// runtime's scheduler state while it exists. Destruction stops the
 /// background thread if running.
-class SchedulerService {
+///
+/// On the host substrate a job whose step checksum ever differs from its
+/// first step's fails the cycle with std::logic_error — the cross-job
+/// corruption detector. A background loop parks on it and drain()/wait()
+/// rethrow it.
+class SchedulerService : private Pump::Owner {
  public:
   explicit SchedulerService(Runtime& runtime, ServiceOptions options = {});
   ~SchedulerService();
@@ -182,26 +180,26 @@ class SchedulerService {
 
   /// Spawns the background service thread. Throws std::logic_error if
   /// already started or already stopped.
-  void start();
+  void start() { pump_.start(); }
 
   /// Stops the background thread after the in-flight cycle, keeping all
   /// ledger state (non-terminal jobs simply stop progressing). Idempotent;
   /// no-op when never started. After stop() the service rejects submits.
-  void stop();
+  void stop() { pump_.stop(); }
 
   /// Blocks until every job submitted so far is terminal. With the
   /// background thread running this just waits; otherwise it RUNS the
   /// scheduling loop inline on this thread (the deterministic single-
   /// threaded mode the churn tests script). Returns immediately when all
   /// jobs are already terminal.
-  void drain();
+  void drain() { pump_.drain(); }
 
   /// Inline mode: runs ONE scheduling cycle (boundary actions — cancels,
   /// admissions, profiling — then at most one co-located step) on the
   /// caller's thread, and returns true if a step ran. Interleave with
   /// submit()/cancel() to script deterministic churn traces. Throws
   /// std::logic_error while the background thread owns the loop.
-  bool run_cycle();
+  bool run_cycle() { return pump_.run_once(); }
 
   /// Blocks until `id` is terminal and returns its final record. Requires
   /// the background thread (use drain() in inline mode). Throws
@@ -215,7 +213,7 @@ class SchedulerService {
   /// ServiceOptions::clock) — snapshot().now_ms without copying the books.
   double now_ms() const;
 
-  bool started() const;
+  bool started() const { return pump_.started(); }
   /// Cores of the chosen substrate (the admission capacity base).
   std::size_t capacity_cores() const noexcept { return cores_; }
   const ServiceOptions& options() const noexcept { return options_; }
@@ -238,18 +236,14 @@ class SchedulerService {
     bool retired = false;  // runtime.retire_tenant(id) already called
   };
 
-  enum class CycleOutcome {
-    kIdle,    // no resident jobs after reconfiguration: nothing to step
-    kWorked,  // ran one co-located step, or advanced the clock to the
-              // next open-loop arrival (resident inference tenants exist
-              // but none had a pending request)
-  };
-
-  /// One loop iteration: apply cancellations, run the admission pass
-  /// (profiling candidates as needed), then one co-located step over the
-  /// resident set. Called with `lk` held; may release and reacquire it
-  /// around runtime work. Only the loop-driving thread calls this.
-  CycleOutcome cycle(std::unique_lock<std::mutex>& lk);
+  /// One loop iteration (the Pump's pump_cycle): apply cancellations, run
+  /// the admission pass (profiling candidates as needed), then one
+  /// co-located step over the resident set. Called with `lk` held; may
+  /// release and reacquire it around runtime work. Only the loop-driving
+  /// thread calls this. Returns false when idle (no resident jobs after
+  /// reconfiguration), true after a step or after advancing the clock to
+  /// the next open-loop arrival.
+  bool pump_cycle(std::unique_lock<std::mutex>& lk) override;
 
   void apply_cancels_locked();
   void admission_pass(std::unique_lock<std::mutex>& lk);
@@ -272,11 +266,11 @@ class SchedulerService {
   double next_arrival_ms_locked() const;
   /// True when a boundary action is pending: something submitted/cancelled
   /// that the next cycle must look at.
-  bool work_pending_locked() const;
-  void loop();  // background-thread body
+  bool pump_work_pending() const override;
+  bool pump_all_terminal() const override { return ledger_.all_terminal(); }
 
   /// Telemetry cells resolved once at construction (all null when no
-  /// registry is attached). Every update happens under mu_, so a
+  /// registry is attached). Every update happens under the pump lock, so a
   /// snapshot() taken under the same lock sees counters and ledger in
   /// exact agreement.
   struct Telemetry {
@@ -310,8 +304,6 @@ class SchedulerService {
   AdmissionController admission_;
   Telemetry telem_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
   JobLedger ledger_;
   std::map<JobId, std::unique_ptr<Job>> jobs_;
   /// Waiting jobs, kept sorted by (inference first, then priority desc,
@@ -337,14 +329,8 @@ class SchedulerService {
   /// wake-up signal alongside a non-empty queue).
   bool pending_cancel_ = false;
 
-  bool started_ = false;
-  bool stopped_ = false;
-  bool stop_requested_ = false;
-  bool draining_inline_ = false;
-  /// Set when the background loop died on an exception; drain()/wait()
-  /// rethrow it instead of blocking on jobs that will never finish.
-  std::exception_ptr failure_ = nullptr;
-  std::thread thread_;
+  /// Drives cycle(); its lock guards every member above.
+  Pump pump_;
 };
 
 }  // namespace opsched::serve

@@ -43,7 +43,8 @@ TEST(MultiTenantHostTest, TwoModelsKeepSoloChecksumsWhileCoLocated) {
   const ProfilingReport prof = rt.profile_host_multi({&pa, &pb}, 1);
   EXPECT_GT(prof.unique_ops, 0u);
 
-  const std::vector<StepResult> r = rt.run_step_multi_host({&pa, &pb});
+  const std::vector<StepResult> r =
+      rt.run_step_multi_host({&pa, &pb}, TenantSet::slots(2));
   ASSERT_EQ(r.size(), 2u);
   EXPECT_EQ(r[0].ops_run, ga.size());
   EXPECT_EQ(r[1].ops_run, gb.size());
@@ -56,7 +57,8 @@ TEST(MultiTenantHostTest, TwoModelsKeepSoloChecksumsWhileCoLocated) {
 
   // Co-located steps are repeatable: scheduling orders may differ run to
   // run (real timing), outputs may not.
-  const std::vector<StepResult> again = rt.run_step_multi_host({&pa, &pb});
+  const std::vector<StepResult> again =
+      rt.run_step_multi_host({&pa, &pb}, TenantSet::slots(2));
   EXPECT_DOUBLE_EQ(again[0].checksum, r[0].checksum);
   EXPECT_DOUBLE_EQ(again[1].checksum, r[1].checksum);
 }
@@ -94,7 +96,8 @@ TEST(MultiTenantSimTest, CoLocatedStepIsDeterministicPerTenant) {
   Runtime rt(MachineSpec::knl());
   rt.profile_multi({&ga, &gb});
 
-  const std::vector<StepResult> r1 = rt.run_step_multi({&ga, &gb});
+  const std::vector<StepResult> r1 =
+      rt.run_step_multi({&ga, &gb}, TenantSet::slots(2));
   ASSERT_EQ(r1.size(), 2u);
   EXPECT_EQ(r1[0].ops_run, ga.size());
   EXPECT_EQ(r1[1].ops_run, gb.size());
@@ -107,7 +110,8 @@ TEST(MultiTenantSimTest, CoLocatedStepIsDeterministicPerTenant) {
   // compare a fresh runtime instead of a second step).
   Runtime rt2(MachineSpec::knl());
   rt2.profile_multi({&ga, &gb});
-  const std::vector<StepResult> r2 = rt2.run_step_multi({&ga, &gb});
+  const std::vector<StepResult> r2 =
+      rt2.run_step_multi({&ga, &gb}, TenantSet::slots(2));
   EXPECT_DOUBLE_EQ(r1[0].time_ms, r2[0].time_ms);
   EXPECT_DOUBLE_EQ(r1[1].time_ms, r2[1].time_ms);
   EXPECT_EQ(r1[0].ops_run + r1[1].ops_run, r2[0].ops_run + r2[1].ops_run);
@@ -123,7 +127,8 @@ TEST(MultiTenantSimTest, SingleTenantMultiMatchesRunStep) {
 
   Runtime b(MachineSpec::knl());
   b.profile(g);
-  const std::vector<StepResult> multi = b.run_step_multi({&g});
+  const std::vector<StepResult> multi =
+      b.run_step_multi({&g}, TenantSet::slots(1));
   ASSERT_EQ(multi.size(), 1u);
   EXPECT_DOUBLE_EQ(single.time_ms, multi[0].time_ms);
   EXPECT_EQ(single.ops_run, multi[0].ops_run);

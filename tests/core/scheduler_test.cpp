@@ -268,7 +268,8 @@ TEST(ScheduleIdentity, SimSchedulesArePinned) {
   rt.profile_multi({&ga, &gb, &gc});
   ScheduleDigest d;
   for (int step = 0; step < 2; ++step)
-    d.add(rt.run_step_multi({&ga, &gb, &gc}, {1.0, 2.0, 4.0}));
+    d.add(rt.run_step_multi({&ga, &gb, &gc},
+                            TenantSet::slots(3, {1.0, 2.0, 4.0})));
   EXPECT_EQ(hex(d.value()), hex(0x44e06e40de9b7d8dull))
       << "3-tenant weighted step";
 }

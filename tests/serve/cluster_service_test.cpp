@@ -14,12 +14,18 @@
 //     front door and on the shards;
 //   - the serve-layer admission bugfix rides through the fleet: an
 //     inference job submitted with an absurd width floor is recorded with
-//     the floor clamped to the shard's physical cores.
+//     the floor clamped to the shard's physical cores;
+//   - the lifecycle contract SchedulerService has: stop keeps the books
+//     and rejects submit/start, stop wakes blocked drain()/wait() callers,
+//     and run_pump() is refused while the background pump runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/cluster_service.hpp"
@@ -348,6 +354,84 @@ TEST(ClusterService, OverwideInferenceFloorIsClampedInTheFleetRecord) {
   EXPECT_EQ(fj.record.state, JobState::kCompleted);
   EXPECT_EQ(fj.record.width_floor, static_cast<int>(cores));
   EXPECT_GT(fj.record.steps_done, 0);
+}
+
+TEST(ClusterService, StopKeepsBooksAndRejectsFurtherWork) {
+  ClusterService cluster(MachineSpec::knl(), sim_virtual_options(2));
+  cluster.start();
+  EXPECT_THROW(cluster.start(), std::logic_error);  // double start
+
+  JobSpec spec;
+  spec.name = "before-stop";
+  spec.graph = small_graph(3);
+  spec.steps = 2;
+  const ClusterJobId id = cluster.submit(spec);
+  cluster.drain();
+  cluster.stop();
+  cluster.stop();  // idempotent
+  EXPECT_FALSE(cluster.started());
+
+  const FleetSnapshot snap = cluster.snapshot();  // books survive stop
+  ASSERT_EQ(snap.jobs.size(), 1u);
+  EXPECT_EQ(snap.jobs[0].id, id);
+  EXPECT_EQ(snap.jobs[0].record.state, JobState::kCompleted);
+
+  JobSpec late;
+  late.graph = small_graph(4);
+  late.steps = 1;
+  EXPECT_THROW(cluster.submit(late), std::logic_error);
+  EXPECT_THROW(cluster.start(), std::logic_error);  // no restart after stop
+}
+
+TEST(ClusterService, StopWakesBlockedDrainersAndWaiters) {
+  ClusterService cluster(MachineSpec::knl(), sim_virtual_options(2));
+  cluster.start();
+
+  // A budget no test machine finishes in the milliseconds before stop().
+  JobSpec spec;
+  spec.name = "marathon";
+  spec.graph = small_graph(11);
+  spec.steps = 1000000;
+  const ClusterJobId id = cluster.submit(spec);
+
+  std::atomic<int> woken{0};
+  std::atomic<int> entered{0};
+  std::thread drainer([&] {
+    try {
+      ++entered;
+      cluster.drain();
+    } catch (const std::logic_error&) {
+      // "stopped with jobs outstanding" or "racing stop()" — either way
+      // the waiter WOKE instead of sleeping forever.
+      ++woken;
+    }
+  });
+  std::thread waiter([&] {
+    try {
+      ++entered;
+      (void)cluster.wait(id);
+    } catch (const std::logic_error&) {
+      ++woken;
+    }
+  });
+  while (entered.load() < 2) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  cluster.stop();
+  drainer.join();
+  waiter.join();
+  EXPECT_EQ(woken.load(), 2);
+  // The marathon job survives in the books, merely parked.
+  const FleetSnapshot snap = cluster.snapshot();
+  ASSERT_EQ(snap.jobs.size(), 1u);
+  EXPECT_FALSE(job_state_terminal(snap.jobs[0].record.state));
+  EXPECT_GT(snap.jobs[0].record.steps_done, 0);
+}
+
+TEST(ClusterService, InlinePumpIsRejectedWhileThreadRuns) {
+  ClusterService cluster(MachineSpec::knl(), sim_virtual_options(2));
+  cluster.start();
+  EXPECT_THROW(cluster.run_pump(), std::logic_error);
+  cluster.stop();
 }
 
 TEST(ClusterService, RejectsZeroShards) {

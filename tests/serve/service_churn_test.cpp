@@ -227,7 +227,6 @@ TEST(ServiceChurn, PolicyStateStaysBoundedOverAFiftyJobScript) {
   ServiceOptions opt;
   opt.substrate = Substrate::kHost;
   opt.admission.max_corun_jobs = 3;
-  opt.verify_checksums = false;  // speed; numerics are pinned elsewhere
   SchedulerService svc(rt, opt);
 
   const auto script = make_script(/*seed=*/99, /*count=*/50);
