@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "core/fifo_executor.hpp"
 #include "graph/builder.hpp"
@@ -198,6 +199,23 @@ class ScheduleDigest {
       mix(r.guard_fallbacks);
     }
   }
+  /// A FIFO baseline step: its trace, step time and launch counters.
+  void add_fifo(const StepResult& r) {
+    for (const TraceEvent& e : r.trace.events()) {
+      mix_double(e.time_ms);
+      mix(e.is_launch ? 1u : 0u);
+      mix(static_cast<std::uint64_t>(e.node));
+      mix(static_cast<std::uint64_t>(e.corun_after));
+    }
+    mix_double(r.time_ms);
+    mix(r.ops_run);
+    mix(r.corun_launches);
+  }
+  void add(const ManualOptimum& best) {
+    mix(static_cast<std::uint64_t>(best.inter_op));
+    mix(static_cast<std::uint64_t>(best.intra_op));
+    mix_double(best.time_ms);
+  }
   std::uint64_t value() const noexcept { return h_; }
 
  private:
@@ -272,6 +290,34 @@ TEST(ScheduleIdentity, SimSchedulesArePinned) {
                             TenantSet::slots(3, {1.0, 2.0, 4.0})));
   EXPECT_EQ(hex(d.value()), hex(0x44e06e40de9b7d8dull))
       << "3-tenant weighted step";
+}
+
+// FIFO schedule identity: pins the simulated FIFO baseline (every launch
+// and completion, step time, ops and co-run launches) at the paper's
+// recommendation and three Table-I grid points, plus the manual optimum the
+// full grid search picks. service_ms is left out on purpose: it is
+// bookkeeping, not schedule.
+TEST(ScheduleIdentity, SimFifoSchedulesArePinned) {
+  struct Case {
+    const char* model;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"resnet50", 0xee0a8e07708bcd03ull},
+      {"dcgan", 0x4a15679db33467bdull},
+      {"inception_v3", 0x0ba8bc4f7655af2cull},
+      {"lstm", 0xfd21000f416888c8ull},
+  };
+  const std::pair<int, int> grid[] = {{1, 68}, {2, 34}, {2, 68}, {4, 16}};
+  for (const Case& c : cases) {
+    const Graph g = build_model(c.model);
+    Runtime rt(MachineSpec::knl());
+    ScheduleDigest d;
+    for (const auto& [inter, intra] : grid)
+      d.add_fifo(rt.run_step_fifo(g, inter, intra));
+    d.add(rt.manual_optimize(g));
+    EXPECT_EQ(hex(d.value()), hex(c.digest)) << c.model;
+  }
 }
 
 TEST(FifoExecutor, RecommendationRunsSerially) {
