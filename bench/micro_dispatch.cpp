@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "all_benchmarks.hpp"
@@ -61,17 +62,19 @@ void run(Context& ctx) {
   TablePrinter table(
       {"k", "step_ms", "sched_ms", "ns/launch", "overhead %"});
 
+  const std::vector<HostGraphProgram*> programs{&program};
+  const TenantSet solo = TenantSet::slots(1);
   double checksum = 0.0;
   for (const std::size_t k : {std::size_t{1}, batch}) {
     HostCorunOptions host;
     host.cores = cores;
     host.decision_batch = k;
     HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
-    (void)exec.run_step(program);  // warm-up: team spawn + calibration
+    (void)exec.run_step_multi(programs, solo);  // warm-up: teams, calibration
 
     std::vector<double> step_ms, sched_ms, ns_launch, overhead;
     for (int s = 0; s < steps; ++s) {
-      const StepResult r = exec.run_step(program);
+      const StepResult r = std::move(exec.run_step_multi(programs, solo)[0]);
       if (r.ops_run != g.size())
         throw std::runtime_error("micro_dispatch: step dropped ops");
       if (checksum == 0.0) checksum = r.checksum;

@@ -12,6 +12,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "all_benchmarks.hpp"
@@ -73,6 +74,8 @@ void run(Context& ctx) {
   // One executor per mode, all warmed, then measured steps INTERLEAVED
   // round-robin so machine drift (thermal, co-tenants) hits every mode
   // equally instead of biasing whichever ran last.
+  const std::vector<HostGraphProgram*> programs{&program};
+  const TenantSet solo = TenantSet::slots(1);
   std::vector<std::unique_ptr<HostCorunExecutor>> execs;
   for (const Mode& m : modes) {
     HostCorunOptions host;
@@ -80,7 +83,8 @@ void run(Context& ctx) {
     auto exec = std::make_unique<HostCorunExecutor>(rt.controller(), pool,
                                                     rt.options(), host);
     exec->attach_observability(m.reg, m.trace);
-    (void)exec->run_step(program);  // warm-up: teams, calibration, cells
+    // Warm-up: teams, calibration, cells.
+    (void)exec->run_step_multi(programs, solo);
     execs.push_back(std::move(exec));
   }
 
@@ -89,7 +93,8 @@ void run(Context& ctx) {
   for (int s = 0; s < steps; ++s) {
     for (std::size_t m = 0; m < execs.size(); ++m) {
       collector.clear();  // keep the FULL mode's span buffer from growing
-      const StepResult r = execs[m]->run_step(program);
+      const StepResult r =
+          std::move(execs[m]->run_step_multi(programs, solo)[0]);
       if (checksum == 0.0) checksum = r.checksum;
       if (r.checksum != checksum)
         throw std::runtime_error(

@@ -1,8 +1,9 @@
 // AdmissionPolicy: the machine-agnostic Strategy 1-4 admission logic shared
-// by the simulator scheduler (CorunScheduler) and the native host executor
-// (HostCorunExecutor). Factoring it out of CorunScheduler guarantees the two
-// execution paths cannot drift: both ask this component the same questions
-// and carry the same learned state (decision cache, interference record).
+// by the simulator path (Runtime over SimMachine) and the native host
+// executor (HostCorunExecutor). One policy behind one dispatch loop
+// (core/dispatch.hpp) guarantees the two execution paths cannot drift:
+// both ask this component the same questions and carry the same learned
+// state (decision cache, interference record).
 //
 // The policy sees the machine only through plain values — the ready queue,
 // the idle-core count, and a snapshot of the in-flight ops — so it neither
@@ -150,14 +151,18 @@ struct MultiAdmissionDecision {
 /// Lifetime: keeps a reference to `controller`, which must outlive it.
 /// Thread-safety: NOT thread-safe — the admission walks and
 /// record_interference mutate the learned state, so each executor drives
-/// its own policy instance from one thread at a time (both CorunScheduler
-/// and HostCorunExecutor make their scheduling decisions on a single
-/// dispatcher thread).
+/// its own policy instance from one thread at a time (both Runtime's
+/// simulator path and HostCorunExecutor make their scheduling decisions on
+/// a single dispatcher thread).
 class AdmissionPolicy {
  public:
   /// Idle-core threshold below which Strategy 4 considers the machine full
   /// and starts overlaying small ops onto spare hyper-thread contexts.
   static constexpr std::size_t kOverlayTriggerIdleCores = 8;
+  /// Primaries below this memory intensity leave spare core cycles for a
+  /// Strategy-4 overlay; memory-bound ones only gain bandwidth pressure.
+  /// Both substrates' overlay_cores() apply it.
+  static constexpr double kComputeBoundCutoff = 0.45;
   /// Upper bound on the slowdown a hyper-thread secondary suffers; the
   /// throughput guard scales an overlay candidate's time by this factor.
   static constexpr double kOverlaySlowdownBound = 2.5;

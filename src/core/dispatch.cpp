@@ -207,4 +207,53 @@ std::vector<StepResult> run_dispatch(AdmissionPolicy& policy,
   return results;
 }
 
+StepResult run_fifo(FifoSubstrate& substrate, const Graph& g, int inter_op) {
+  if (inter_op < 1)
+    throw std::invalid_argument("run_fifo: inter_op must be >= 1");
+  StepResult stats;
+  ReadyTracker tracker(g);
+  ReadyQueue ready(tracker.initially_ready().begin(),
+                   tracker.initially_ready().end());
+  std::vector<NodeId> slot_node(static_cast<std::size_t>(inter_op),
+                                kInvalidNode);
+  int busy = 0;
+  std::vector<DispatchCompletion> completions;
+
+  while (tracker.remaining() > 0) {
+    for (std::size_t s = 0; s < slot_node.size() && !ready.empty(); ++s) {
+      if (slot_node[s] != kInvalidNode) continue;
+      const Node& node = g.node(ready.front());
+      ready.erase(0);
+      slot_node[s] = node.id;
+      ++stats.ops_run;
+      if (busy++ > 0) ++stats.corun_launches;
+      stats.trace.record(substrate.now_ms(), /*is_launch=*/true, node.id,
+                         node.kind, busy);
+      substrate.start(s, node);
+    }
+
+    if (busy == 0) {
+      throw std::logic_error(
+          "run_fifo: deadlock — nothing running but nodes remain");
+    }
+    completions.clear();
+    substrate.wait(completions);
+    for (const DispatchCompletion& c : completions) {
+      const NodeId done = slot_node[c.lane];
+      slot_node[c.lane] = kInvalidNode;
+      --busy;
+      stats.service_ms += c.actual_ms;
+      stats.trace.record(c.end_ms, /*is_launch=*/false, done,
+                         g.node(done).kind, busy);
+      std::vector<NodeId> newly;
+      tracker.mark_done(done, newly);
+      for (NodeId id : newly) ready.push_back(id);
+    }
+  }
+
+  stats.time_ms = substrate.now_ms();
+  stats.mean_corun = stats.trace.mean_corun();
+  return stats;
+}
+
 }  // namespace opsched

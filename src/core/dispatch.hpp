@@ -1,7 +1,8 @@
-// The completion-driven dispatch loop — the one scheduling round of the
-// paper's runtime (Figure 2), written once for every substrate.
+// The two step loops of the runtime, each written once for every substrate.
 //
-// Per round (at step start and after every batch of completions):
+// run_dispatch is the completion-driven dispatch loop — the one scheduling
+// round of the paper's runtime (Figure 2). Per round (at step start and
+// after every batch of completions):
 //   Strategies 1-3: while cores are idle and some tenant has ready work, ask
 //   the shared AdmissionPolicy for up to `decision_batch` launches against
 //   one running-op snapshot and start them on the lowest idle cores;
@@ -16,14 +17,26 @@
 // co-runners, per-tenant statistics and traces. A DispatchSubstrate owns
 // the machine: which cores are idle, where overlays may ride, how long the
 // in-flight ops have left, how a launch starts and how completions arrive.
-// CorunScheduler adapts the simulated machine (virtual clock, one
-// completion per wait); HostCorunExecutor adapts real pinned thread teams
-// (wall clock, completions posted by launcher threads).
+// Runtime adapts the simulated machine (virtual clock, one completion per
+// wait); HostCorunExecutor adapts real pinned thread teams (wall clock,
+// completions posted by launcher threads).
+//
+// run_fifo is the TensorFlow-style baseline the paper measures against:
+// ready ops start in arrival order on at most `inter_op` slots, every op at
+// the same intra-op width. Its slots stack unpinned teams on overlapping
+// cores — the OS scatters the threads — which idle-core accounting cannot
+// express, so it runs over its own three-call FifoSubstrate instead of
+// being a mode of run_dispatch. The paper's baselines map to:
+//   recommendation:  inter_op = 1, intra_op = physical cores
+//   TF default:      inter_op = intra_op = logical cores — >10x off
+//                    (Section IV-A)
+//   manual optimum:  the best (inter_op, intra_op) grid point (Table I)
 //
 // Lanes: an op launched on `cores` occupies lane 2 * cores.lowest() for a
 // primary and that lane + 1 for an overlay. The lowest core of a primary
 // span stays busy until the op completes, and a core carries at most one
 // overlay, so the mapping is collision-free while the op is in flight.
+// A FIFO op's lane is its slot.
 #pragma once
 
 #include <optional>
@@ -34,8 +47,8 @@
 
 namespace opsched {
 
-/// Outcome of one training step — simulated (CorunScheduler, FifoExecutor)
-/// or native (HostCorunExecutor). On the simulated path `time_ms` is
+/// Outcome of one training step — simulated (Runtime over SimMachine) or
+/// native (HostCorunExecutor). On the simulated path `time_ms` is
 /// virtual clock time; on the host path it is wall-clock time and
 /// `checksum` carries the deterministic step checksum.
 struct StepResult {
@@ -84,7 +97,7 @@ struct DispatchLaunch {
   bool others_ready = false;
 };
 
-/// One finished op, as its substrate reports it.
+/// One finished op, as its substrate reports it (run_dispatch and run_fifo).
 struct DispatchCompletion {
   std::size_t lane = 0;
   /// Completion time on the substrate's step clock.
@@ -134,5 +147,27 @@ std::vector<StepResult> run_dispatch(AdmissionPolicy& policy,
                                      const std::vector<const Graph*>& graphs,
                                      const TenantSet& set,
                                      std::size_t decision_batch);
+
+/// The machine side of the FIFO loop.
+class FifoSubstrate {
+ public:
+  virtual ~FifoSubstrate() = default;
+
+  /// The step clock, in ms since the step began.
+  virtual double now_ms() const = 0;
+  /// Starts `node` on FIFO slot `slot`, which stays busy until the
+  /// substrate reports the op's completion with lane = slot.
+  virtual void start(std::size_t slot, const Node& node) = 0;
+  /// Blocks until at least one started op completed and appends every
+  /// completion available. Only called while an op is in flight.
+  virtual void wait(std::vector<DispatchCompletion>& out) = 0;
+};
+
+/// Runs every node of `g` to completion on `substrate` in arrival order,
+/// at most `inter_op` at a time, each on the first free slot. time_ms is
+/// the step clock at the last completion, service_ms the time the ops
+/// consumed. Throws std::invalid_argument if inter_op < 1 and
+/// std::logic_error if nothing runs while nodes remain.
+StepResult run_fifo(FifoSubstrate& substrate, const Graph& g, int inter_op);
 
 }  // namespace opsched

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -18,8 +17,8 @@ namespace {
 /// Machine-agnostic memory-intensity proxy for the Strategy 4 eligibility
 /// test (the simulator asks its CostModel; the host has no MachineSpec).
 /// Bytes are weighted against flops at a typical host compute/bandwidth
-/// ratio; only the < 0.45 compute-bound cut-off consumes the value, so the
-/// constant's precision is not load-bearing.
+/// ratio; only AdmissionPolicy::kComputeBoundCutoff consumes the value, so
+/// the constant's precision is not load-bearing.
 double host_mem_intensity(const Node& node) {
   const WorkProfile w = work_profile(node);
   const double tc = w.flops;
@@ -27,10 +26,6 @@ double host_mem_intensity(const Node& node) {
   if (tc + tm <= 0.0) return 0.0;
   return tm / (tc + tm);
 }
-
-/// Compute-bound primaries threshold, mirroring CorunScheduler's overlay
-/// eligibility rule.
-constexpr double kComputeBoundCutoff = 0.45;
 
 /// EWMA weight of the newest (wall ms / predicted ms) calibration sample.
 constexpr double kCalibrationAlpha = 0.3;
@@ -63,26 +58,28 @@ class CompletionBoard {
     }
   }
 
-  /// Dispatcher side: blocks until more than `consumed` posts happened.
-  void wait(std::size_t consumed) {
-    if (posted_.load(std::memory_order_seq_cst) > consumed) return;
-    sleeping_.store(true, std::memory_order_seq_cst);
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] {
-        return posted_.load(std::memory_order_seq_cst) > consumed;
-      });
+  /// Dispatcher side: blocks until an unconsumed post exists, then hands
+  /// every posted completion to `fn(lane, end_ms)`.
+  template <typename Fn>
+  void drain(Fn&& fn) {
+    if (posted_.load(std::memory_order_seq_cst) <= consumed_) {
+      sleeping_.store(true, std::memory_order_seq_cst);
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] {
+          return posted_.load(std::memory_order_seq_cst) > consumed_;
+        });
+      }
+      sleeping_.store(false, std::memory_order_relaxed);
     }
-    sleeping_.store(false, std::memory_order_relaxed);
-  }
-
-  /// Dispatcher side: claims lane's completion if one is posted.
-  bool take(std::size_t lane, double& end_ms) {
-    Slot& s = slots_[lane];
-    if (!s.full.load(std::memory_order_acquire)) return false;
-    end_ms = s.end_ms;
-    s.full.store(false, std::memory_order_relaxed);
-    return true;
+    for (std::size_t lane = 0; lane < slots_.size(); ++lane) {
+      Slot& s = slots_[lane];
+      if (!s.full.load(std::memory_order_acquire)) continue;
+      const double end_ms = s.end_ms;
+      s.full.store(false, std::memory_order_relaxed);
+      ++consumed_;
+      fn(lane, end_ms);
+    }
   }
 
  private:
@@ -92,6 +89,7 @@ class CompletionBoard {
   };
   std::vector<Slot> slots_;
   std::atomic<std::size_t> posted_{0};
+  std::size_t consumed_ = 0;  // dispatcher side only
   std::atomic<bool> sleeping_{false};
   std::mutex mu_;
   std::condition_variable cv_;
@@ -178,7 +176,8 @@ class HostCorunExecutor::Substrate final : public DispatchSubstrate {
     if (exec_.cores_ < 2) return eligible;
     for (const Lane& ln : lanes_) {
       if (ln.live && !ln.overlay &&
-          host_mem_intensity(*ln.node) < kComputeBoundCutoff) {
+          host_mem_intensity(*ln.node) <
+              AdmissionPolicy::kComputeBoundCutoff) {
         eligible = eligible.union_with(ln.cores);
       }
     }
@@ -290,14 +289,9 @@ class HostCorunExecutor::Substrate final : public DispatchSubstrate {
   }
 
   void wait(std::vector<DispatchCompletion>& out) override {
-    board_.wait(consumed_);
-    for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
-      double end_wall = 0.0;
-      if (board_.take(lane, end_wall)) {
-        ++consumed_;
-        out.push_back(finish(lane, end_wall));
-      }
-    }
+    board_.drain([&](std::size_t lane, double end_wall) {
+      out.push_back(finish(lane, end_wall));
+    });
   }
 
  private:
@@ -362,7 +356,6 @@ class HostCorunExecutor::Substrate final : public DispatchSubstrate {
   const double t0_;
   std::vector<Lane> lanes_;
   std::size_t live_ = 0;
-  std::size_t consumed_ = 0;
   CompletionBoard board_;
   CoreSet primary_busy_;
   CoreSet overlaid_;
@@ -370,12 +363,6 @@ class HostCorunExecutor::Substrate final : public DispatchSubstrate {
   // board they post to goes away.
   LaunchPad pad_;
 };
-
-StepResult HostCorunExecutor::run_step(HostGraphProgram& program) {
-  std::vector<StepResult> results =
-      run_step_multi({&program}, TenantSet::slots(1));
-  return std::move(results.front());
-}
 
 std::vector<StepResult> HostCorunExecutor::run_step_multi(
     const std::vector<HostGraphProgram*>& programs, const TenantSet& set) {
@@ -410,89 +397,66 @@ std::vector<StepResult> HostCorunExecutor::run_step_multi(
   return results;
 }
 
-StepResult HostCorunExecutor::run_step_fifo(HostGraphProgram& program,
-                                            int inter_op, int intra_op) {
-  const Graph& g = program.graph();
-  StepResult stats;
-  const double t0 = wall_time_ms();
+/// The host pool as a FIFO substrate: slot s starts an unpinned team of the
+/// FIFO width (one live team per slot; the OS scatters its threads, as with
+/// TensorFlow's executor) on launcher lane s, which posts to the completion
+/// board. FIFO slots are long-lived, so the same launcher keeps serving the
+/// same team.
+class HostCorunExecutor::FifoSlots final : public FifoSubstrate {
+ public:
+  FifoSlots(HostCorunExecutor& exec, HostGraphProgram& program,
+            std::size_t slots, std::size_t width)
+      : exec_(exec),
+        program_(program),
+        width_(width),
+        t0_(wall_time_ms()),
+        start_wall_ms_(slots, 0.0),
+        board_(slots),
+        pad_(slots) {}
 
-  const auto slots = static_cast<std::size_t>(std::max(1, inter_op));
-  const auto width = static_cast<std::size_t>(std::clamp<int>(
-      intra_op, 1, static_cast<int>(pool_.max_width())));
+  double now_ms() const override { return wall_time_ms() - t0_; }
 
-  ReadyTracker tracker(g);
-  std::deque<NodeId> ready(tracker.initially_ready().begin(),
-                           tracker.initially_ready().end());
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::pair<std::size_t, double>> completions;  // (slot, end wall)
-  std::vector<NodeId> slot_node(slots, kInvalidNode);
-  std::vector<double> slot_start(slots, 0.0);
-  std::size_t busy = 0;
-  LaunchPad pad(slots);
-
-  while (tracker.remaining() > 0) {
-    for (std::size_t s = 0; s < slots && !ready.empty(); ++s) {
-      if (slot_node[s] != kInvalidNode) continue;
-      const NodeId node_id = ready.front();
-      ready.pop_front();
-      slot_node[s] = node_id;
-      const bool corun = busy > 0;
-      ++busy;
-      // Unpinned team (empty affinity), one live team per FIFO slot: the
-      // OS scatters the threads, as with TensorFlow's executor.
-      ThreadTeam& team = pool_.team_pinned(width, CoreSet(cores_), s);
-      slot_start[s] = wall_time_ms();
-      stats.trace.record(slot_start[s] - t0, /*is_launch=*/true, node_id,
-                         g.node(node_id).kind, static_cast<int>(busy));
-      ++stats.ops_run;
-      if (corun) ++stats.corun_launches;
-      // Slot s always rides launcher lane s: FIFO slots are long-lived, so
-      // the same launcher keeps serving the same team.
-      pad.launch_on(s, [&program, &mu, &cv, &completions, node_id, s, &team] {
-        program.run_node(node_id, team);
-        const double end = wall_time_ms();
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          completions.emplace_back(s, end);
-        }
-        cv.notify_one();
-      });
-    }
-
-    if (busy == 0) {
-      throw std::logic_error(
-          "HostCorunExecutor: FIFO deadlock — nothing running but nodes "
-          "remain");
-    }
-    std::pair<std::size_t, double> comp;
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return !completions.empty(); });
-      comp = completions.front();
-      completions.pop_front();
-    }
-    const NodeId done = slot_node[comp.first];
-    slot_node[comp.first] = kInvalidNode;
-    --busy;
-    stats.service_ms += comp.second - slot_start[comp.first];
-    stats.trace.record(comp.second - t0, /*is_launch=*/false, done,
-                       g.node(done).kind, static_cast<int>(busy));
-    std::vector<NodeId> newly;
-    tracker.mark_done(done, newly);
-    for (NodeId nid : newly) ready.push_back(nid);
+  void start(std::size_t slot, const Node& node) override {
+    ThreadTeam& team =
+        exec_.pool_.team_pinned(width_, CoreSet(exec_.cores_), slot);
+    start_wall_ms_[slot] = wall_time_ms();
+    HostGraphProgram& program = program_;
+    CompletionBoard& board = board_;
+    const NodeId node_id = node.id;
+    pad_.launch_on(slot, [&program, &board, node_id, slot, &team] {
+      program.run_node(node_id, team);
+      board.post(slot, wall_time_ms());
+    });
   }
 
-  stats.time_ms = wall_time_ms() - t0;
-  stats.mean_corun = stats.trace.mean_corun();
+  void wait(std::vector<DispatchCompletion>& out) override {
+    board_.drain([&](std::size_t slot, double end_wall) {
+      out.push_back(DispatchCompletion{
+          slot, end_wall - t0_, end_wall - start_wall_ms_[slot], 0.0});
+    });
+  }
+
+ private:
+  HostCorunExecutor& exec_;
+  HostGraphProgram& program_;
+  const std::size_t width_;
+  const double t0_;
+  std::vector<double> start_wall_ms_;
+  CompletionBoard board_;
+  // Declared last: its destructor joins the launcher threads before the
+  // board they post to goes away.
+  LaunchPad pad_;
+};
+
+StepResult HostCorunExecutor::run_step_fifo(HostGraphProgram& program,
+                                            int inter_op, int intra_op) {
+  FifoSlots slots(*this, program,
+                  static_cast<std::size_t>(std::max(1, inter_op)),
+                  static_cast<std::size_t>(std::clamp<int>(
+                      intra_op, 1, static_cast<int>(pool_.max_width()))));
+  StepResult stats = run_fifo(slots, program.graph(), inter_op);
   stats.checksum = program.step_checksum();
   return stats;
-}
-
-StepResult HostCorunExecutor::run_step_recommendation(
-    HostGraphProgram& program) {
-  return run_step_fifo(program, 1, static_cast<int>(cores_));
 }
 
 }  // namespace opsched

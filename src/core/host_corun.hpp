@@ -1,11 +1,11 @@
 // HostCorunExecutor: the native execution path — one training step on REAL
 // threads running REAL tensor kernels (ops/kernels.hpp via
 // HostGraphProgram), scheduled by the same Strategy 1-4 admission logic
-// (AdmissionPolicy) that drives the simulator's CorunScheduler.
+// (AdmissionPolicy) that drives the simulator.
 //
-// The executor adapts the host to the shared completion-driven dispatch
-// loop (core/dispatch.hpp) — the paper's runtime structure on a physical
-// machine:
+// The executor adapts the host to both step loops of core/dispatch.hpp.
+// For the completion-driven dispatch loop — the paper's runtime structure
+// on a physical machine:
 //   - the dispatcher thread holds a core map of the host (idle / primary /
 //     overlaid) that the loop's idle-core and overlay queries read;
 //   - every admitted op gets a ThreadTeam of the chosen width pinned to a
@@ -17,13 +17,15 @@
 //   - completions return cores and update an online calibration between
 //     the controller's predicted timescale and host wall-clock, which the
 //     Strategy 3 throughput guard and the interference recorder consume.
+// For the FIFO baseline loop, FIFO slot s starts an UNPINNED team on
+// launcher lane s and posts to the same sharded completion board.
 //
 // Multi-tenancy: run_step_multi schedules N independent training graphs
 // (one HostGraphProgram per tenant) over ONE shared core map, with the
 // loop's per-tenant ready queues and the AdmissionPolicy's weighted-deficit
 // walk arbitrating which tenant's ready op claims idle cores — the
 // shared-host serving setting of multi-tenant DNN schedulers, driven by the
-// paper's Strategy 1-4 runtime. Single-step run_step is the N=1 case.
+// paper's Strategy 1-4 runtime. Runtime::run_step_host is the N=1 case.
 //
 // What it measures: real step wall-clock under runtime concurrency control,
 // including every cost the simulator only models — team reuse vs. spawn,
@@ -57,21 +59,16 @@ struct HostCorunOptions {
 };
 
 /// Lifetime: keeps references to `controller` and `pool`; both must outlive
-/// the executor. The HostGraphPrograms passed to the run_step entry points
-/// are only borrowed for the call.
+/// the executor. The HostGraphPrograms passed to the run_step_* entry
+/// points are only borrowed for the call.
 ///
-/// Thread-safety: the run_step entry points must be called from one thread
-/// at a time; the executor spawns and joins its own launcher threads
+/// Thread-safety: the run_step_* entry points must be called from one
+/// thread at a time; the executor spawns and joins its own launcher threads
 /// internally.
 class HostCorunExecutor {
  public:
   HostCorunExecutor(const ConcurrencyController& controller, TeamPool& pool,
                     RuntimeOptions options, HostCorunOptions host = {});
-
-  /// One adaptive step (Strategies per options.strategies) over
-  /// program.graph(). Returns wall-clock StepResult with the deterministic
-  /// step checksum filled in.
-  StepResult run_step(HostGraphProgram& program);
 
   /// One CO-LOCATED adaptive step over N tenants: every program's graph
   /// runs to completion on the shared core map, ops interleaving across
@@ -83,19 +80,18 @@ class HostCorunExecutor {
   /// population. Returns one StepResult per tenant, in input order: time_ms
   /// is that tenant's makespan (step start to its last completion),
   /// service_ms the kernel wall-time it consumed, checksum its private
-  /// deterministic step checksum.
+  /// deterministic step checksum. Strategies per options.strategies.
   std::vector<StepResult> run_step_multi(
       const std::vector<HostGraphProgram*>& programs, const TenantSet& set);
 
-  /// Baseline step under a uniform (inter_op, intra_op) FIFO policy: ready
-  /// ops run in arrival order, at most `inter_op` concurrently, each on an
-  /// UNPINNED team of `intra_op` threads — the OS scatters them, as with
-  /// TensorFlow's executor.
+  /// Baseline step under a uniform (inter_op, intra_op) FIFO policy
+  /// (run_fifo): ready ops run in arrival order, at most `inter_op`
+  /// concurrently, each on an UNPINNED team of `intra_op` threads (clamped
+  /// to the pool) — the OS scatters them, as with TensorFlow's executor.
+  /// (1, cores()) is the paper's recommendation baseline. Wall-clock
+  /// StepResult with the step checksum filled in.
   StepResult run_step_fifo(HostGraphProgram& program, int inter_op,
                            int intra_op);
-
-  /// The paper's recommendation baseline (inter=1, intra=all cores).
-  StepResult run_step_recommendation(HostGraphProgram& program);
 
   std::size_t recorded_bad_pairs() const {
     return policy_.recorded_bad_pairs();
@@ -132,6 +128,8 @@ class HostCorunExecutor {
  private:
   /// The per-step dispatch substrate over this executor's core map.
   class Substrate;
+  /// The per-step FIFO substrate over this executor's pool.
+  class FifoSlots;
 
   /// Persistent-team affinity: the last team each lane launched, so a lane
   /// re-running the same (width, span) skips the TeamPool lock + hash and

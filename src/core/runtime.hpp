@@ -6,11 +6,13 @@
 //
 // Two execution substrates share one Runtime:
 //   - simulated: profile() + run_step()/run_step_fifo() on the SimMachine
-//     (regenerates the paper's tables; deterministic virtual time);
+//     (regenerates the paper's tables; deterministic virtual time). The
+//     Runtime adapts the machine to run_dispatch and run_fifo
+//     (core/dispatch.hpp) itself and owns the simulator's AdmissionPolicy;
 //   - native host: profile_host() + run_step_host()/run_step_host_fifo(),
 //     which time and run the REAL tensor kernels on real pinned threads via
-//     HostCorunExecutor. Same ConcurrencyController, same AdmissionPolicy
-//     logic, real wall-clock.
+//     HostCorunExecutor — the same two loops over the host's adapters, the
+//     same ConcurrencyController and AdmissionPolicy logic, real wall-clock.
 // Profiles land in the one PerfDatabase keyed by (kind, shapes), and the
 // two substrates' timescales differ wildly — use one Runtime per substrate
 // (or call reset-free profile()/profile_host() for disjoint graphs only).
@@ -19,8 +21,8 @@
 #include <functional>
 #include <memory>
 
-#include "core/corun_scheduler.hpp"
-#include "core/fifo_executor.hpp"
+#include "core/admission_policy.hpp"
+#include "core/dispatch.hpp"
 #include "core/host_corun.hpp"
 #include "machine/sim_machine.hpp"
 #include "perf/hill_climb.hpp"
@@ -38,6 +40,25 @@ struct ProfilingReport {
   /// bounded by C/x * 2 as in the paper.
   std::size_t profiling_steps = 0;
 };
+
+/// One FIFO baseline step (run_fifo) of `g` on `machine`, reset first:
+/// every slot stacks an unpinned team of `intra_op` threads on the chip.
+/// Throws std::invalid_argument if inter_op or intra_op is below 1.
+StepResult run_sim_fifo(const Graph& g, SimMachine& machine, int inter_op,
+                        int intra_op);
+
+/// The best (inter, intra) FIFO grid point and its step time.
+struct ManualOptimum {
+  int inter_op = 1;
+  int intra_op = 68;
+  double time_ms = 0.0;
+};
+
+/// Sweeps the (inter, intra) grid with run_sim_fifo and returns the fastest
+/// point — the paper's "manual optimization" procedure (Table I).
+ManualOptimum manual_optimize(const Graph& g, SimMachine& machine,
+                              const std::vector<int>& inter_grid,
+                              const std::vector<int>& intra_grid);
 
 class Runtime {
  public:
@@ -57,11 +78,13 @@ class Runtime {
   StepResult run_step(const Graph& g);
 
   /// One CO-LOCATED adaptive step over N tenants' graphs on the simulated
-  /// machine (see CorunScheduler::run_step_multi). Returns one StepResult
-  /// per tenant, in input order. `set` names the tenants: the serving layer
-  /// passes job ids so learned state and fairness deficits follow jobs
-  /// across between-step tenant-set reconfigurations; TenantSet::slots(n,
-  /// weights) gives the slot-indexed population.
+  /// machine (reset first): ops interleave across tenants under the
+  /// weighted-deficit admission walk, one decision per round. Returns one
+  /// StepResult per tenant, in input order (see run_dispatch); deterministic
+  /// for fixed inputs. `set` names the tenants: the serving layer passes
+  /// job ids so learned state and fairness deficits follow jobs across
+  /// between-step tenant-set reconfigurations; TenantSet::slots(n, weights)
+  /// gives the slot-indexed population.
   std::vector<StepResult> run_step_multi(
       const std::vector<const Graph*>& graphs, const TenantSet& set);
 
@@ -138,7 +161,9 @@ class Runtime {
   const ConcurrencyController& controller() const noexcept {
     return *controller_;
   }
-  CorunScheduler& scheduler() noexcept { return *scheduler_; }
+  /// The simulator's Strategy 1-4 admission logic and its learned state
+  /// (decision cache, interference record), which persists across steps.
+  AdmissionPolicy& policy() noexcept { return *policy_; }
 
  private:
   /// Times one tunable node of graphs[tenant] at a sampled width.
@@ -157,7 +182,7 @@ class Runtime {
   SimMachine machine_;
   PerfDatabase db_;
   std::unique_ptr<ConcurrencyController> controller_;
-  std::unique_ptr<CorunScheduler> scheduler_;
+  std::unique_ptr<AdmissionPolicy> policy_;
   std::unique_ptr<TeamPool> host_pool_;
   std::unique_ptr<HostCorunExecutor> host_executor_;
 };

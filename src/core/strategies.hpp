@@ -27,12 +27,12 @@ enum StrategyBits : unsigned {
   kStrategyAll = kStrategyS123 | kStrategy4,
 };
 
-/// Tuning knobs for Runtime/CorunScheduler behaviour.
+/// Tuning knobs for Runtime behaviour.
 ///
 /// Contract: RuntimeOptions is a plain value type with no ownership — it is
-/// copied into Runtime and CorunScheduler at construction, so mutating an
-/// options object after constructing a runtime has no effect on it. Safe to
-/// share across threads by value; the struct itself performs no
+/// copied into Runtime and its AdmissionPolicy at construction, so mutating
+/// an options object after constructing a runtime has no effect on it. Safe
+/// to share across threads by value; the struct itself performs no
 /// synchronisation.
 struct RuntimeOptions {
   unsigned strategies = kStrategyAll;

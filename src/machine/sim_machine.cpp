@@ -95,8 +95,6 @@ SimMachine::TaskId SimMachine::launch(const Node& node, int threads,
   t.mem_intensity = model_.memory_intensity(node, threads);
   tasks_.push_back(std::move(t));
   recompute_rates();
-  trace_.record(now_ms_, /*is_launch=*/true, node.id, node.kind,
-                static_cast<int>(tasks_.size()));
   return tasks_.back().id;
 }
 
@@ -198,8 +196,6 @@ std::optional<SimMachine::Completion> SimMachine::advance() {
   c.actual_ms = now_ms_ - done.start_ms;
   c.cores = done.cores;
   c.launch_kind = done.launch_kind;
-  trace_.record(now_ms_, /*is_launch=*/false, done.node, done.kind,
-                static_cast<int>(tasks_.size()));
   return c;
 }
 

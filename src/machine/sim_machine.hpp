@@ -25,7 +25,8 @@
 namespace opsched {
 
 /// One entry of the Figure-4-style event log: every launch/finish records
-/// the number of co-running operations immediately after the event.
+/// the number of co-running operations immediately after the event. The
+/// step loops (core/dispatch.hpp) keep the log; the machine keeps none.
 struct TraceEvent {
   double time_ms = 0.0;
   bool is_launch = false;
@@ -121,10 +122,7 @@ class SimMachine {
 
   const std::vector<RunningTask>& running() const noexcept { return tasks_; }
 
-  EventTrace& trace() noexcept { return trace_; }
-  const EventTrace& trace() const noexcept { return trace_; }
-
-  /// Resets clock and clears running tasks (trace preserved unless cleared).
+  /// Resets clock and clears running tasks.
   void reset();
 
   const CostModel& cost_model() const noexcept { return model_; }
@@ -149,7 +147,6 @@ class SimMachine {
   /// reset() like the real thread pools persist across training steps.
   std::array<int, kNumOpKinds> last_width_{};
   std::vector<RunningTask> tasks_;
-  EventTrace trace_;
 };
 
 }  // namespace opsched

@@ -1,5 +1,6 @@
-// FifoExecutor: FIFO ordering, completion accounting, and edge cases.
-#include "core/fifo_executor.hpp"
+// The FIFO baseline loop (run_fifo) on the simulated machine: FIFO
+// ordering, completion accounting, and edge cases.
+#include "core/runtime.hpp"
 
 #include <gtest/gtest.h>
 
@@ -27,9 +28,9 @@ Graph fanout_graph(int width) {
   return gb.take();
 }
 
-class FifoExecutorTest : public ::testing::Test {
+class SimFifoTest : public ::testing::Test {
  protected:
-  FifoExecutorTest()
+  SimFifoTest()
       : spec_(MachineSpec::knl()), model_(spec_), machine_(spec_, model_) {}
 
   MachineSpec spec_;
@@ -37,13 +38,12 @@ class FifoExecutorTest : public ::testing::Test {
   SimMachine machine_;
 };
 
-TEST_F(FifoExecutorTest, LaunchesInArrivalOrderWhenSerial) {
+TEST_F(SimFifoTest, LaunchesInArrivalOrderWhenSerial) {
   // inter_op = 1: ops launch strictly one at a time, so the launch sequence
   // in the trace must equal the ready-queue arrival sequence, which for a
   // fan-out of identical ops is graph insertion order.
   const Graph g = fanout_graph(6);
-  const FifoExecutor exec(1, 16);
-  const StepResult r = exec.run_step(g, machine_);
+  const StepResult r = run_sim_fifo(g, machine_, 1, 16);
 
   std::vector<NodeId> launch_order;
   for (const TraceEvent& e : r.trace.events())
@@ -51,14 +51,13 @@ TEST_F(FifoExecutorTest, LaunchesInArrivalOrderWhenSerial) {
   ASSERT_EQ(launch_order.size(), g.size());
   for (std::size_t i = 1; i < launch_order.size(); ++i) {
     EXPECT_LT(launch_order[i - 1], launch_order[i])
-        << "FIFO executor launched out of arrival order at position " << i;
+        << "run_fifo launched out of arrival order at position " << i;
   }
 }
 
-TEST_F(FifoExecutorTest, RunsEveryOpExactlyOnce) {
+TEST_F(SimFifoTest, RunsEveryOpExactlyOnce) {
   const Graph g = fanout_graph(5);
-  const FifoExecutor exec(2, 8);
-  const StepResult r = exec.run_step(g, machine_);
+  const StepResult r = run_sim_fifo(g, machine_, 2, 8);
   EXPECT_EQ(r.ops_run, g.size());
   EXPECT_EQ(r.trace.size(), 2 * g.size());  // one launch + one finish per op
 
@@ -75,31 +74,28 @@ TEST_F(FifoExecutorTest, RunsEveryOpExactlyOnce) {
   EXPECT_GT(r.time_ms, 0.0);
 }
 
-TEST_F(FifoExecutorTest, EmptyGraphIsANoop) {
+TEST_F(SimFifoTest, EmptyGraphIsANoop) {
   const Graph g = GraphBuilder().take();
   ASSERT_EQ(g.size(), 0u);
-  const FifoExecutor exec(2, 8);
-  const StepResult r = exec.run_step(g, machine_);
+  const StepResult r = run_sim_fifo(g, machine_, 2, 8);
   EXPECT_EQ(r.ops_run, 0u);
   EXPECT_EQ(r.corun_launches, 0u);
   EXPECT_EQ(r.trace.size(), 0u);
   EXPECT_EQ(r.time_ms, 0.0);
 }
 
-TEST_F(FifoExecutorTest, RejectsNonPositiveParallelism) {
+TEST_F(SimFifoTest, RejectsNonPositiveParallelism) {
   const Graph g = fanout_graph(2);
-  EXPECT_THROW(FifoExecutor(0, 8).run_step(g, machine_),
-               std::invalid_argument);
-  EXPECT_THROW(FifoExecutor(2, 0).run_step(g, machine_),
-               std::invalid_argument);
+  EXPECT_THROW(run_sim_fifo(g, machine_, 0, 8), std::invalid_argument);
+  EXPECT_THROW(run_sim_fifo(g, machine_, 2, 0), std::invalid_argument);
 }
 
-TEST_F(FifoExecutorTest, SerialIsNeverFasterThanTwoSlots) {
+TEST_F(SimFifoTest, SerialIsNeverFasterThanTwoSlots) {
   // Sanity on the paper's baseline ordering: with identical intra-op width,
   // allowing two inter-op slots can only help (or tie) on a fan-out graph.
   const Graph g = fanout_graph(6);
-  const StepResult serial = FifoExecutor(1, 16).run_step(g, machine_);
-  const StepResult two = FifoExecutor(2, 16).run_step(g, machine_);
+  const StepResult serial = run_sim_fifo(g, machine_, 1, 16);
+  const StepResult two = run_sim_fifo(g, machine_, 2, 16);
   EXPECT_GE(serial.time_ms, two.time_ms * 0.999);
   EXPECT_GT(two.corun_launches, 0u);
 }

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "core/runtime.hpp"
 #include "models/models.hpp"
@@ -18,6 +19,12 @@
 
 namespace opsched {
 namespace {
+
+/// One adaptive step of `program` alone: the N=1 case of run_step_multi.
+StepResult solo_step(HostCorunExecutor& exec, HostGraphProgram& program) {
+  return std::move(
+      exec.run_step_multi({&program}, TenantSet::slots(1)).front());
+}
 
 class HostCorunTest : public ::testing::Test {
  protected:
@@ -56,7 +63,7 @@ TEST_F(HostCorunTest, WideLayersCoRunOnAMultiCoreMap) {
   HostCorunOptions host;
   host.cores = 4;
   HostCorunExecutor exec(rt->controller(), pool, rt->options(), host);
-  const StepResult r = exec.run_step(program);
+  const StepResult r = solo_step(exec, program);
   EXPECT_EQ(r.ops_run, g.size());
   // The wide backward layers of the CNN must actually co-run.
   EXPECT_GT(r.corun_launches, 0u);
@@ -140,7 +147,7 @@ TEST_F(HostCorunTest, DispatchBatchWidthsProduceBitIdenticalChecksums) {
     host.cores = 4;
     host.decision_batch = k;
     HostCorunExecutor exec(rt->controller(), pool, rt->options(), host);
-    const StepResult r = exec.run_step(program);
+    const StepResult r = solo_step(exec, program);
     EXPECT_EQ(r.ops_run, g.size());
     EXPECT_DOUBLE_EQ(r.checksum, ref);
     // The dispatcher's own decision time is measured and sane.

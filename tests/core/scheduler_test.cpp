@@ -1,6 +1,5 @@
-// CorunScheduler + FifoExecutor: scheduling invariants.
-#include "core/corun_scheduler.hpp"
-
+// The simulator's two step loops (run_dispatch and run_fifo over
+// SimMachine): scheduling invariants.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,9 +7,8 @@
 #include <cstring>
 #include <utility>
 
-#include "core/fifo_executor.hpp"
-#include "graph/builder.hpp"
 #include "core/runtime.hpp"
+#include "graph/builder.hpp"
 #include "models/models.hpp"
 
 namespace opsched {
@@ -136,14 +134,14 @@ TEST_F(SchedulerTest, InterferenceRecorderLearns) {
   Runtime rt(MachineSpec::knl(), opt);
   rt.profile(g);
   rt.run_step(g);
-  const std::size_t learned = rt.scheduler().recorded_bad_pairs();
+  const std::size_t learned = rt.policy().recorded_bad_pairs();
   const StepResult second = rt.run_step(g);
   // After learning, previously-bad pairs are not co-run again.
   if (learned > 0) {
     EXPECT_LE(second.corun_launches, g.size());
   }
-  rt.scheduler().reset_learning();
-  EXPECT_EQ(rt.scheduler().recorded_bad_pairs(), 0u);
+  rt.policy().reset_learning();
+  EXPECT_EQ(rt.policy().recorded_bad_pairs(), 0u);
 }
 
 TEST_F(SchedulerTest, ThroughputGuardBlocksOutlastingOps) {
@@ -320,53 +318,49 @@ TEST(ScheduleIdentity, SimFifoSchedulesArePinned) {
   }
 }
 
-TEST(FifoExecutor, RecommendationRunsSerially) {
+TEST(SimFifo, RecommendationRunsSerially) {
   const Graph g = wide_graph(4);
   const MachineSpec spec = MachineSpec::knl();
   const CostModel model(spec);
   SimMachine machine(spec, model);
-  const FifoExecutor exec(1, 68);
-  const StepResult r = exec.run_step(g, machine);
+  const StepResult r = run_sim_fifo(g, machine, 1, 68);
   EXPECT_EQ(r.ops_run, g.size());
   EXPECT_EQ(r.trace.max_corun(), 1);  // inter-op 1: never two at once
 }
 
-TEST(FifoExecutor, InterOpSlotsBoundConcurrency) {
+TEST(SimFifo, InterOpSlotsBoundConcurrency) {
   const Graph g = wide_graph(8);
   const MachineSpec spec = MachineSpec::knl();
   const CostModel model(spec);
   SimMachine machine(spec, model);
   for (int inter : {2, 4}) {
-    const FifoExecutor exec(inter, 34);
-    const StepResult r = exec.run_step(g, machine);
+    const StepResult r = run_sim_fifo(g, machine, inter, 34);
     EXPECT_LE(r.trace.max_corun(), inter);
     EXPECT_GT(r.trace.max_corun(), 1);
     EXPECT_EQ(r.ops_run, g.size());
   }
 }
 
-TEST(FifoExecutor, ParallelismValidation) {
+TEST(SimFifo, ParallelismValidation) {
   const Graph g = wide_graph(2);
   const MachineSpec spec = MachineSpec::knl();
   const CostModel model(spec);
   SimMachine machine(spec, model);
-  EXPECT_THROW(FifoExecutor(0, 68).run_step(g, machine),
-               std::invalid_argument);
-  EXPECT_THROW(FifoExecutor(1, 0).run_step(g, machine),
-               std::invalid_argument);
+  EXPECT_THROW(run_sim_fifo(g, machine, 0, 68), std::invalid_argument);
+  EXPECT_THROW(run_sim_fifo(g, machine, 1, 0), std::invalid_argument);
 }
 
-TEST(FifoExecutor, OversubscriptionSlowsStep) {
+TEST(SimFifo, OversubscriptionSlowsStep) {
   const Graph g = wide_graph(6);
   const MachineSpec spec = MachineSpec::knl();
   const CostModel model(spec);
   SimMachine machine(spec, model);
-  const double t68 = FifoExecutor(1, 68).run_step(g, machine).time_ms;
-  const double t136 = FifoExecutor(1, 136).run_step(g, machine).time_ms;
+  const double t68 = run_sim_fifo(g, machine, 1, 68).time_ms;
+  const double t136 = run_sim_fifo(g, machine, 1, 136).time_ms;
   EXPECT_GT(t136, t68);
 }
 
-TEST(FifoExecutor, ManualOptimizeScansGrid) {
+TEST(SimFifo, ManualOptimizeScansGrid) {
   const Graph g = wide_graph(4);
   const MachineSpec spec = MachineSpec::knl();
   const CostModel model(spec);
@@ -377,7 +371,7 @@ TEST(FifoExecutor, ManualOptimizeScansGrid) {
   // The reported optimum is at least as good as every grid point.
   for (int inter : {1, 2}) {
     for (int intra : {34, 68}) {
-      const double t = FifoExecutor(inter, intra).run_step(g, machine).time_ms;
+      const double t = run_sim_fifo(g, machine, inter, intra).time_ms;
       EXPECT_GE(t, best.time_ms * 0.999);
     }
   }

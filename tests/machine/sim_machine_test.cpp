@@ -149,13 +149,21 @@ TEST_F(SimMachineTest, StackedLaunchSharesCapacity) {
 }
 
 TEST_F(SimMachineTest, EventTraceRecordsLaunchAndFinish) {
-  machine_.trace().clear();
-  machine_.launch(op(0), 34, AffinityMode::kSpread, CoreSet::range(68, 0, 34));
-  machine_.launch(op(1), 34, AffinityMode::kSpread,
-                  CoreSet::range(68, 34, 34));
-  while (machine_.advance()) {
+  // The machine keeps no log of its own: record each event with the
+  // machine's co-run level right after it, as the step loops do.
+  EventTrace trace;
+  const auto running = [&] { return static_cast<int>(machine_.num_running()); };
+  for (const NodeId id : {0u, 1u}) {
+    const Node n = op(id);
+    machine_.launch(n, 34, AffinityMode::kSpread,
+                    CoreSet::range(68, 34 * id, 34));
+    trace.record(machine_.now_ms(), /*is_launch=*/true, n.id, n.kind,
+                 running());
   }
-  const EventTrace& trace = machine_.trace();
+  while (const auto c = machine_.advance()) {
+    trace.record(c->finish_ms, /*is_launch=*/false, c->node, OpKind::kConv2D,
+                 running());
+  }
   ASSERT_EQ(trace.size(), 4u);
   EXPECT_TRUE(trace.events()[0].is_launch);
   EXPECT_EQ(trace.events()[0].corun_after, 1);

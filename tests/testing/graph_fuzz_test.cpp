@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "core/runtime.hpp"
 #include "models/zoo.hpp"
@@ -17,6 +18,12 @@
 
 namespace opsched {
 namespace {
+
+/// One adaptive step of `program` alone: the N=1 case of run_step_multi.
+StepResult solo_step(HostCorunExecutor& exec, HostGraphProgram& program) {
+  return std::move(
+      exec.run_step_multi({&program}, TenantSet::slots(1)).front());
+}
 
 /// Serial-reference checksum of `g` under the given tenant namespace.
 double reference_checksum(const Graph& g, std::size_t tenant = 0) {
@@ -68,7 +75,7 @@ TEST(GraphFuzzTest, ChecksumsIdenticalAcrossPoliciesAndWidthsOn50Graphs) {
       HostCorunOptions host;
       host.cores = cores;
       HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
-      const StepResult r = exec.run_step(program);
+      const StepResult r = solo_step(exec, program);
       EXPECT_EQ(r.ops_run, g.size());
       EXPECT_DOUBLE_EQ(r.checksum, ref) << "adaptive, " << cores << " cores";
     }
@@ -79,7 +86,9 @@ TEST(GraphFuzzTest, ChecksumsIdenticalAcrossPoliciesAndWidthsOn50Graphs) {
     HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
     EXPECT_DOUBLE_EQ(exec.run_step_fifo(program, 2, 2).checksum, ref)
         << "fifo";
-    EXPECT_DOUBLE_EQ(exec.run_step_recommendation(program).checksum, ref)
+    // The recommendation baseline: inter-op 1, intra-op all cores.
+    const int all = static_cast<int>(exec.cores());
+    EXPECT_DOUBLE_EQ(exec.run_step_fifo(program, 1, all).checksum, ref)
         << "recommendation";
   }
 }
@@ -104,7 +113,7 @@ TEST(GraphFuzzTest, ChecksumsIdenticalAcrossDecisionBatchWidths) {
       host.cores = 4;
       host.decision_batch = k;
       HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
-      const StepResult r = exec.run_step(program);
+      const StepResult r = solo_step(exec, program);
       EXPECT_EQ(r.ops_run, g.size());
       EXPECT_DOUBLE_EQ(r.checksum, ref) << "decision_batch " << k;
     }
@@ -157,7 +166,7 @@ TEST(GraphFuzzTest, ZooModelsMatchSerialReferenceAcrossPoliciesAndWidths) {
       HostCorunOptions host;
       host.cores = cores;
       HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
-      const StepResult r = exec.run_step(program);
+      const StepResult r = solo_step(exec, program);
       EXPECT_EQ(r.ops_run, g.size());
       EXPECT_DOUBLE_EQ(r.checksum, ref) << "adaptive, " << cores << " cores";
     }
@@ -167,7 +176,9 @@ TEST(GraphFuzzTest, ZooModelsMatchSerialReferenceAcrossPoliciesAndWidths) {
     HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
     EXPECT_DOUBLE_EQ(exec.run_step_fifo(program, 2, 2).checksum, ref)
         << "fifo";
-    EXPECT_DOUBLE_EQ(exec.run_step_recommendation(program).checksum, ref)
+    // The recommendation baseline: inter-op 1, intra-op all cores.
+    const int all = static_cast<int>(exec.cores());
+    EXPECT_DOUBLE_EQ(exec.run_step_fifo(program, 1, all).checksum, ref)
         << "recommendation";
   }
 }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -109,6 +110,12 @@ TEST(LaunchStressTest, LaneTargetedLaunchesRunInOrderOnOneThread) {
   }
   // Distinct lanes really are distinct workers.
   EXPECT_NE(runners[0].front(), runners[1].front());
+  // A launcher drops its load only after the job returns, so the last
+  // done.arrive() can run before the count settles: wait for it, bounded.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pad.in_flight() != 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   EXPECT_EQ(pad.in_flight(), 0u);
 }
 
