@@ -3,8 +3,6 @@
 //   - the Strategy-2 width guard (paper: delta 2, here width-relative)
 //   - the decision cache ("decisions ... can be reused")
 //   - the interference recorder (Section III-D discussion)
-//   - hill-climb patience (our robustness addition over the paper's
-//     stop-on-first-increase rule)
 // Each knob is toggled on an otherwise-default adaptive runtime.
 #include "all_benchmarks.hpp"
 #include "core/runtime.hpp"

@@ -242,7 +242,9 @@ int cmd_schedule(const Graph& g, const Flags& flags) {
   table.print(std::cout);
   if (flags.has("trace")) {
     const std::string path = flags.get("trace", "schedule.json");
-    write_chrome_trace(path, last.trace, g);
+    obs::TraceCollector collector;
+    export_step_trace(last.trace, g, collector);
+    collector.write(path);
     std::cout << "trace written to " << path << "\n";
   }
   return 0;

@@ -71,7 +71,9 @@ int main(int argc, char** argv) {
   // Optional: dump the schedule for chrome://tracing / Perfetto.
   if (flags.has("trace")) {
     const std::string path = flags.get("trace", "schedule.json");
-    write_chrome_trace(path, adaptive.trace, graph);
+    obs::TraceCollector collector;
+    export_step_trace(adaptive.trace, graph, collector);
+    collector.write(path);
     std::cout << "schedule trace written to " << path
               << " (open in chrome://tracing)\n";
   }

@@ -91,7 +91,9 @@ int main(int argc, char** argv) {
                                 : " — MISMATCH across policies!\n");
 
   if (!trace_path.empty()) {
-    write_chrome_trace(trace_path, adaptive.trace, g);
+    obs::TraceCollector collector;
+    export_step_trace(adaptive.trace, g, collector);
+    collector.write(trace_path);
     std::cout << "adaptive-step trace written to " << trace_path
               << " (chrome://tracing)\n";
   }

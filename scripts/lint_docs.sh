@@ -8,7 +8,11 @@
 #      *_test) must name a real CMake target;
 #   2. backticked tokens shaped like benchmark names (fig*/table*/ext_*/
 #      micro_*/ablation*) must have a bench/<name>.cpp source;
-#   3. relative markdown links must resolve on disk.
+#   3. relative markdown links must resolve on disk;
+#   4. every backticked snake_case token (a knob, function, metric or file
+#      stem) must occur as a word somewhere in the code trees below, or be
+#      a CMake target — so docs cannot keep naming an identifier the code
+#      has dropped.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +32,10 @@ while IFS= read -r f; do
   rel="${rel%.cpp}"
   valid_targets+=$'\n'"${rel//\//_}"
 done < <(find tests -name '*_test.cpp')
+
+# --- every identifier-shaped word the code trees contain (check 4)
+code_words="$(grep -rhoE '[A-Za-z0-9_]+' src bench examples tests perfbench \
+  scripts | sort -u)"
 
 for doc in "${docs[@]}"; do
   # 1+2: backticked identifier-ish tokens.
@@ -62,6 +70,16 @@ for doc in "${docs[@]}"; do
         ;;
     esac
   done < <(grep -ohE '`[A-Za-z0-9_]+`' "$doc" | tr -d '`' | sort -u)
+
+  # 4: backticked snake_case tokens must exist in the code or be a target.
+  while IFS= read -r tok; do
+    if ! grep -qxF "$tok" <<<"$code_words" &&
+       ! grep -qxF "$tok" <<<"$valid_targets"; then
+      echo "$doc: \`$tok\` names nothing in src/bench/examples/tests/perfbench/scripts"
+      fail=1
+    fi
+  done < <(grep -ohE '`[a-z][a-z0-9]*(_[a-z0-9]+)+`' "$doc" | tr -d '`' |
+           sort -u)
 
   # 3: relative markdown links (skip URLs and pure anchors).
   dir="$(dirname "$doc")"

@@ -346,6 +346,14 @@ void AdmissionPolicy::insert_bad_pair(TenantArenaOp a, TenantArenaOp b) {
   bad_pairs_rev_stale_ = true;
 }
 
+void AdmissionPolicy::begin_walk() {
+  ++walk_id_;
+  if (reject_stamp_.size() < arena_ids_.size()) {
+    reject_stamp_.resize(arena_ids_.size(), 0);
+    badpair_stamp_.resize(arena_ids_.size(), 0);
+  }
+}
+
 void AdmissionPolicy::stamp_bad_partners(
     std::size_t id, const std::vector<TenantArenaOp>& running) {
   if (bad_pairs_rev_stale_) {
@@ -376,32 +384,6 @@ void AdmissionPolicy::stamp_bad_partners(
     stamp_range(bad_pairs_, r);
     stamp_range(bad_pairs_rev_, r);
   }
-}
-
-bool AdmissionPolicy::bad_pair_with(
-    const TenantArenaOp& key,
-    const std::vector<TenantArenaOp>& running) const {
-  if (bad_pairs_.empty()) return false;
-  for (const TenantArenaOp& r : running) {
-    if (r.op == kNoArenaOp) continue;
-    const auto pair = key < r ? std::make_pair(key, r)
-                              : std::make_pair(r, key);
-    const auto it =
-        std::lower_bound(bad_pairs_.begin(), bad_pairs_.end(), pair);
-    if (it != bad_pairs_.end() && *it == pair) return true;
-  }
-  return false;
-}
-
-bool AdmissionPolicy::bad_pair_with_running(
-    const TenantOpKey& key, const std::vector<RunningOpView>& running) const {
-  if (!options_.interference_recorder) return false;
-  // Callers pass slot indices; the record is keyed by stable ids.
-  const ArenaOp op = lookup_arena(key.key);
-  if (op == kNoArenaOp) return false;  // never interned: never recorded
-  RunningScratch resolved;
-  resolve_running(running, resolved);
-  return bad_pair_with(TenantArenaOp{stable_id(key.tenant), op}, resolved.ops);
 }
 
 void AdmissionPolicy::record_interference(
@@ -476,7 +458,7 @@ std::optional<AdmissionDecision> AdmissionPolicy::pick_for_tenant(
   // Guard bound, and the hot-loop short-circuits: with no recorded bad
   // pairs or no skip list, those probes can never fire — hoisting the
   // emptiness checks keeps the failing-scan loop body branch-cheap.
-  const double bound = ongoing * (1.0 + options_.corun_slack);
+  const double bound = ongoing * (1.0 + kCorunSlack);
   const bool check_pairs = something_running &&
                            options_.interference_recorder &&
                            !bad_pairs_.empty();
@@ -500,13 +482,9 @@ std::optional<AdmissionDecision> AdmissionPolicy::pick_for_tenant(
   // sharing an OpKey share their menu and S2 consolidation, so replaying
   // guard_rewrites keeps the per-visit stats bit-identical to the
   // unmemoized walk (bad-paired skips never counted).
-  ++walk_id_;
-  if (reject_stamp_.size() < arena_ids_.size()) {
-    reject_stamp_.resize(arena_ids_.size(), 0);
-    badpair_stamp_.resize(arena_ids_.size(), 0);
-  }
+  begin_walk();
   // Blocked ops are stamped ONCE up front (O(running × log pairs)), so the
-  // loop pays a single array probe per candidate instead of a bad_pair_with
+  // loop pays a single array probe per candidate instead of a pair-record
   // binary search per visit — on failing scans over a thousand-op queue
   // that probe dominated the walk.
   if (check_pairs) stamp_bad_partners(id, running.ops);
@@ -749,66 +727,56 @@ std::optional<MultiAdmissionDecision> AdmissionPolicy::next_overlay_multi(
   // Smallest-first with a bad-pair skip: a candidate that forms a recorded
   // bad pair with a running op is passed over and the next-smallest
   // considered (abandoning the whole overlay round for one blocked pair
-  // wastes the spare contexts on every other ready op). The scan repeats
-  // excluding skipped entries — bad pairs are rare, so the second scan is
-  // the uncommon case. Visiting tenants in deficit order with a strict <
-  // makes ties go to the least-served tenant, deterministically.
-  std::vector<std::pair<std::size_t, std::size_t>> blocked;
-  for (;;) {
-    std::size_t small_tenant = 0, small_pos = 0;
-    double small_time = std::numeric_limits<double>::infinity();
-    bool found = false;
-    for (const std::size_t t : order_scratch_) {
-      const ReadyQueue& ready = *tenants[t].ready;
-      if (ready.empty()) continue;
-      const GraphBinding& b = bind(t, *tenants[t].graph);
-      for (std::size_t pos = 0; pos < ready.size(); ++pos) {
-        if (!blocked.empty() &&
-            std::find(blocked.begin(), blocked.end(),
-                      std::make_pair(t, pos)) != blocked.end())
-          continue;
-        const double time = b.nodes[ready[pos]].serial_ms;
-        if (time < small_time) {
-          small_time = time;
-          small_tenant = t;
-          small_pos = pos;
-          found = true;
-        }
+  // wastes the spare contexts on every other ready op). Each tenant's
+  // blocked ops are stamped up front, exactly as pick_for_tenant does, so
+  // one scan per queue finds its smallest unblocked op. Visiting tenants in
+  // deficit order with a strict < makes ties go to the least-served tenant,
+  // then to the earlier queue position, deterministically.
+  const bool check_pairs = options_.interference_recorder &&
+                           !bad_pairs_.empty() &&
+                           !running_scratch_.ops.empty();
+  std::size_t small_tenant = 0, small_pos = 0;
+  double small_time = std::numeric_limits<double>::infinity();
+  bool found = false;
+  for (const std::size_t t : order_scratch_) {
+    const ReadyQueue& ready = *tenants[t].ready;
+    if (ready.empty()) continue;
+    const GraphBinding& b = bind(t, *tenants[t].graph);
+    begin_walk();
+    if (check_pairs) stamp_bad_partners(stable_id(t), running_scratch_.ops);
+    for (std::size_t pos = 0; pos < ready.size(); ++pos) {
+      const BoundNode& node = b.nodes[ready[pos]];
+      if (node.serial_ms < small_time && badpair_stamp_[node.op] != walk_id_) {
+        small_time = node.serial_ms;
+        small_tenant = t;
+        small_pos = pos;
+        found = true;
       }
     }
-    if (!found) return std::nullopt;
-
-    const GraphBinding& b = bindings_[small_tenant];
-    const BoundNode& node =
-        b.nodes[(*tenants[small_tenant].ready)[small_pos]];
-    if (options_.interference_recorder &&
-        bad_pair_with(TenantArenaOp{stable_id(small_tenant), node.op},
-                      running_scratch_.ops)) {
-      blocked.emplace_back(small_tenant, small_pos);
-      continue;
-    }
-
-    MultiAdmissionDecision d;
-    d.tenant = small_tenant;
-    d.decision.ready_pos = small_pos;
-    d.decision.candidate = node.choice;
-    d.decision.candidate.threads =
-        std::min(d.decision.candidate.threads, eligible_cores);
-    d.decision.op_token = node.op;
-
-    // Throughput guard also applies to overlays: an overlay that would
-    // outlast everything it rides on would delay the step.
-    const double overlay_est =
-        d.decision.candidate.time_ms * kOverlaySlowdownBound;
-    if (overlay_est >
-        running_scratch_.max_remaining * (1.0 + options_.corun_slack))
-      return std::nullopt;
-    // No service charge: overlays consume spare hyper-thread contexts that
-    // cost the other tenants nothing, so they must not move their rider
-    // down the primary-core deficit order.
-    if (telem_.reg != nullptr) telem_.overlay_grants->inc();
-    return d;
   }
+  if (!found) return std::nullopt;
+
+  const BoundNode& node =
+      bindings_[small_tenant].nodes[(*tenants[small_tenant].ready)[small_pos]];
+  MultiAdmissionDecision d;
+  d.tenant = small_tenant;
+  d.decision.ready_pos = small_pos;
+  d.decision.candidate = node.choice;
+  d.decision.candidate.threads =
+      std::min(d.decision.candidate.threads, eligible_cores);
+  d.decision.op_token = node.op;
+
+  // Throughput guard also applies to overlays: an overlay that would
+  // outlast everything it rides on would delay the step.
+  const double overlay_est =
+      d.decision.candidate.time_ms * kOverlaySlowdownBound;
+  if (overlay_est > running_scratch_.max_remaining * (1.0 + kCorunSlack))
+    return std::nullopt;
+  // No service charge: overlays consume spare hyper-thread contexts that
+  // cost the other tenants nothing, so they must not move their rider
+  // down the primary-core deficit order.
+  if (telem_.reg != nullptr) telem_.overlay_grants->inc();
+  return d;
 }
 
 }  // namespace opsched

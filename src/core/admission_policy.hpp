@@ -166,6 +166,9 @@ class AdmissionPolicy {
   /// Upper bound on the slowdown a hyper-thread secondary suffers; the
   /// throughput guard scales an overlay candidate's time by this factor.
   static constexpr double kOverlaySlowdownBound = 2.5;
+  /// Tolerance when comparing a candidate's time against the ongoing ops'
+  /// remaining time (the Strategy 3/4 throughput guard).
+  static constexpr double kCorunSlack = 0.05;
 
   AdmissionPolicy(const ConcurrencyController& controller,
                   RuntimeOptions options)
@@ -224,18 +227,13 @@ class AdmissionPolicy {
   /// overlay throughput guard (overlay slots are scavengers — fairness
   /// applies only to primary cores, so overlays are neither arbitrated by
   /// nor charged to the service ledger; ties go to the least-served
-  /// tenant). A smallest op
-  /// that forms a recorded bad pair with a running op is skipped and the
-  /// next-smallest considered, until a pairable candidate faces the
-  /// throughput guard. Returns nullopt when no overlay should launch.
+  /// tenant, then to the earlier queue position). An op that forms a
+  /// recorded bad pair with a running op is skipped, so the pick is the
+  /// smallest pairable op, and it alone faces the throughput guard.
+  /// Returns nullopt when no overlay should launch.
   std::optional<MultiAdmissionDecision> next_overlay_multi(
       const std::vector<TenantReadyView>& tenants, int eligible_cores,
       const std::vector<RunningOpView>& running);
-
-  /// True if `key` forms a recorded bad-interference pair with any running
-  /// op (always false when the recorder is disabled).
-  bool bad_pair_with_running(const TenantOpKey& key,
-                             const std::vector<RunningOpView>& running) const;
 
   /// Records that `completed` co-ran badly with each of `corunners` (paper
   /// Section III-D: "record such cases and avoid co-running such operations
@@ -407,13 +405,14 @@ class AdmissionPolicy {
                            const RunningScratch& running,
                            int idle_cores) const;
 
-  bool bad_pair_with(const TenantArenaOp& key,
-                     const std::vector<TenantArenaOp>& running) const;
   void insert_bad_pair(TenantArenaOp a, TenantArenaOp b);
+  /// Starts a fresh stamp epoch (walk_id_) for one queue walk, sizing the
+  /// stamp arrays to every arena op interned so far.
+  void begin_walk();
   /// Stamps badpair_stamp_[op] = walk_id_ for every op that tenant `id`
   /// may not co-run beside the resolved running set — the walk then skips
-  /// those ops with the stamp probe it already does, instead of paying a
-  /// bad_pair_with binary search per visited candidate.
+  /// those ops with one array probe per visited candidate instead of a
+  /// binary search of the pair record.
   void stamp_bad_partners(std::size_t id,
                           const std::vector<TenantArenaOp>& running);
 

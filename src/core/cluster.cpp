@@ -5,6 +5,14 @@
 
 namespace opsched {
 
+namespace {
+/// Per-link interconnect bandwidth (GB/s). Cori's Aries gives ~10 GB/s
+/// effective per node for large messages.
+constexpr double kInterconnectGbs = 10.0;
+/// Per-hop latency of a collective phase (ms).
+constexpr double kHopLatencyMs = 0.02;
+}  // namespace
+
 double model_parameter_bytes(const Graph& g) {
   double bytes = 0.0;
   for (const Node& n : g.nodes()) {
@@ -43,8 +51,8 @@ double DataParallelCluster::allreduce_ms(double bytes) const {
   const double w = static_cast<double>(options_.num_workers);
   if (w <= 1.0) return 0.0;
   const double transfer =
-      2.0 * (w - 1.0) / w * bytes / (options_.interconnect_gbs * 1e9) * 1e3;
-  const double latency = 2.0 * (w - 1.0) * options_.hop_latency_ms;
+      2.0 * (w - 1.0) / w * bytes / (kInterconnectGbs * 1e9) * 1e3;
+  const double latency = 2.0 * (w - 1.0) * kHopLatencyMs;
   return transfer + latency;
 }
 
@@ -144,8 +152,8 @@ ModelParallelStepResult ModelParallelCluster::run_with(bool adaptive) {
     r.time_ms += step.time_ms;
     // Point-to-point transfer of boundary activations to the next stage.
     const double transfer =
-        stages_[w].boundary_bytes / (options_.interconnect_gbs * 1e9) * 1e3 +
-        (stages_[w].boundary_bytes > 0 ? options_.hop_latency_ms : 0.0);
+        stages_[w].boundary_bytes / (kInterconnectGbs * 1e9) * 1e3 +
+        (stages_[w].boundary_bytes > 0 ? kHopLatencyMs : 0.0);
     r.transfer_ms += transfer;
     r.time_ms += transfer;
   }

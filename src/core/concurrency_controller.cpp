@@ -5,11 +5,12 @@
 namespace opsched {
 
 ConcurrencyController::ConcurrencyController(const PerfDatabase& db,
-                                             RuntimeOptions options)
-    : db_(db), options_(options) {}
+                                             RuntimeOptions options,
+                                             int default_width)
+    : db_(db), options_(options), default_width_(default_width) {}
 
 Candidate ConcurrencyController::default_choice() const {
-  return Candidate{options_.default_width, AffinityMode::kSpread, 0.0};
+  return Candidate{default_width_, AffinityMode::kSpread, 0.0};
 }
 
 void ConcurrencyController::build(const Graph& g) {
@@ -106,7 +107,7 @@ std::vector<Candidate> ConcurrencyController::candidates_for(
 
 int ConcurrencyController::consolidated_width(OpKind kind) const {
   const auto it = per_kind_.find(kind);
-  return it == per_kind_.end() ? options_.default_width : it->second.threads;
+  return it == per_kind_.end() ? default_width_ : it->second.threads;
 }
 
 double ConcurrencyController::predicted_time_ms(const Node& node) const {

@@ -13,15 +13,18 @@ namespace opsched {
 
 class ConcurrencyController {
  public:
-  /// `db` must outlive the controller.
-  ConcurrencyController(const PerfDatabase& db, RuntimeOptions options);
+  /// `db` must outlive the controller. `default_width` is the recommended
+  /// width (the machine's physical cores): ops the runtime cannot tune
+  /// (Eigen-backed layout ops) and ops without a decision run at it.
+  ConcurrencyController(const PerfDatabase& db, RuntimeOptions options,
+                        int default_width);
 
   /// Precomputes decisions for every node in `g`:
   ///  - Strategy 1 (if enabled): per-(kind, shape) optimum from its curve.
   ///  - Strategy 2 (if enabled): per-kind consolidation onto the optimum of
   ///    the most time-consuming instance of the kind.
-  ///  - Neither: every op gets options.default_width (the recommendation).
-  /// Non-tunable kinds always get default_width.
+  ///  - Neither: every op gets default_width() (the recommendation).
+  /// Non-tunable kinds always get default_width().
   void build(const Graph& g);
 
   /// Multi-tenant build: decisions over the UNION of several graphs' nodes
@@ -49,6 +52,7 @@ class ConcurrencyController {
   double serial_time_ms(const Node& node) const;
 
   const RuntimeOptions& options() const noexcept { return options_; }
+  int default_width() const noexcept { return default_width_; }
 
   /// Monotonic build counter, bumped by every build(). Consumers that cache
   /// derived decisions (AdmissionPolicy's per-graph bindings) compare it to
@@ -60,6 +64,7 @@ class ConcurrencyController {
 
   const PerfDatabase& db_;
   RuntimeOptions options_;
+  int default_width_;
   /// Per-kind consolidated decision (Strategy 2).
   std::map<OpKind, Candidate> per_kind_;
   /// Per-key decision (Strategy 1, also the base for Strategy 2 lookups).

@@ -134,9 +134,8 @@ Runtime::Runtime(const MachineSpec& spec, RuntimeOptions options)
       spec_(spec),
       model_(spec),
       machine_(spec, model_) {
-  options_.default_width =
-      std::min<int>(options_.default_width, static_cast<int>(spec.num_cores));
-  controller_ = std::make_unique<ConcurrencyController>(db_, options_);
+  controller_ = std::make_unique<ConcurrencyController>(
+      db_, options_, static_cast<int>(spec.num_cores));
   policy_ = std::make_unique<AdmissionPolicy>(*controller_, options_);
 }
 

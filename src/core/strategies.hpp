@@ -61,14 +61,6 @@ struct RuntimeOptions {
   /// pairing them again (paper Section III-D Discussion).
   bool interference_recorder = true;
   double interference_bad_ratio = 2.5;
-
-  /// Tolerance when comparing a candidate's time against ongoing ops'
-  /// remaining time (Strategy 3's throughput guard).
-  double corun_slack = 0.05;
-
-  /// Width used for ops the runtime cannot tune (Eigen-backed layout ops
-  /// keep the recommended width) and for baseline executions.
-  int default_width = 68;
 };
 
 }  // namespace opsched

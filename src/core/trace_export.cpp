@@ -1,23 +1,18 @@
 #include "core/trace_export.hpp"
 
-#include <fstream>
 #include <map>
-#include <sstream>
-#include <stdexcept>
-
-#include "util/json.hpp"
+#include <string>
+#include <vector>
 
 namespace opsched {
 
-std::string trace_to_chrome_json(const EventTrace& trace, const Graph& g) {
+void export_step_trace(const EventTrace& trace, const Graph& g,
+                       obs::TraceCollector& out) {
   std::map<NodeId, double> start_ms;
   // Track concurrency lanes so overlapping ops get distinct rows.
-  std::map<NodeId, int> lane_of;
+  std::map<NodeId, std::uint32_t> lane_of;
   std::vector<bool> lane_busy;
 
-  std::ostringstream os;
-  os << "[";
-  bool first = true;
   for (const TraceEvent& e : trace.events()) {
     if (e.is_launch) {
       start_ms[e.node] = e.time_ms;
@@ -25,32 +20,18 @@ std::string trace_to_chrome_json(const EventTrace& trace, const Graph& g) {
       while (lane < lane_busy.size() && lane_busy[lane]) ++lane;
       if (lane == lane_busy.size()) lane_busy.push_back(false);
       lane_busy[lane] = true;
-      lane_of[e.node] = static_cast<int>(lane);
+      lane_of[e.node] = static_cast<std::uint32_t>(lane);
       continue;
     }
     const auto it = start_ms.find(e.node);
     if (it == start_ms.end()) continue;  // finish without launch: skip
-    const double dur_us = (e.time_ms - it->second) * 1000.0;
     const Node& node = g.node(e.node);
-    if (!first) os << ",";
-    first = false;
-    os << "\n{\"name\":\"" << json::escape(node.label) << "\",\"cat\":\""
-       << op_kind_name(node.kind) << "\",\"ph\":\"X\",\"ts\":"
-       << json::number(it->second * 1000.0) << ",\"dur\":"
-       << json::number(dur_us) << ",\"pid\":1,\"tid\":" << lane_of[e.node]
-       << "}";
-    lane_busy[static_cast<std::size_t>(lane_of[e.node])] = false;
+    const std::uint32_t lane = lane_of[e.node];
+    out.span({node.label, std::string(op_kind_name(node.kind)), 1, lane,
+              it->second, e.time_ms - it->second});
+    lane_busy[lane] = false;
     start_ms.erase(it);
   }
-  os << "\n]\n";
-  return os.str();
-}
-
-void write_chrome_trace(const std::string& path, const EventTrace& trace,
-                        const Graph& g) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_chrome_trace: cannot open " + path);
-  out << trace_to_chrome_json(trace, g);
 }
 
 }  // namespace opsched

@@ -1,24 +1,21 @@
 // Schedule trace export in Chrome tracing format (chrome://tracing /
-// Perfetto): every executed op becomes a complete event on the row of its
-// first core, so the co-running structure the scheduler produced can be
-// inspected visually.
+// Perfetto): every executed op becomes a complete span on a concurrency
+// lane, so the co-running structure the scheduler produced can be
+// inspected visually. The spans go into an obs::TraceCollector, whose
+// write() produces the file.
 #pragma once
-
-#include <string>
 
 #include "graph/graph.hpp"
 #include "machine/sim_machine.hpp"
+#include "obs/trace.hpp"
 
 namespace opsched {
 
-/// Serializes a step's event trace as a Chrome-tracing JSON array.
-/// Launch/finish pairs are matched per node id (a node executes once per
-/// step). Durations and timestamps are microseconds as the format demands.
-std::string trace_to_chrome_json(const EventTrace& trace, const Graph& g);
-
-/// Writes trace_to_chrome_json to a file; throws std::runtime_error when
-/// the file cannot be opened.
-void write_chrome_trace(const std::string& path, const EventTrace& trace,
-                        const Graph& g);
+/// Appends one span per executed op of a step's event trace to `out`,
+/// under process id 1. Launch/finish pairs are matched per node id (a node
+/// executes once per step); the span's track (tid) is the lowest lane free
+/// at its launch, so overlapping ops get distinct rows.
+void export_step_trace(const EventTrace& trace, const Graph& g,
+                       obs::TraceCollector& out);
 
 }  // namespace opsched

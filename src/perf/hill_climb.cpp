@@ -103,9 +103,9 @@ void HillClimbProfiler::climb_mode(const MeasureFn& measure, AffinityMode mode,
     ++last_samples_;
     out.add_sample(mode, n, t);
     if (best >= 0.0 && t > best) {
-      // Time increased: stop once it has increased `patience` times in a
-      // row (tolerates jitter bumps on an otherwise descending curve).
-      if (++increases >= std::max(1, params_.patience)) break;
+      // Time increased: stop once it has increased kHillClimbPatience times
+      // in a row (tolerates jitter bumps on an otherwise descending curve).
+      if (++increases >= kHillClimbPatience) break;
     } else {
       increases = 0;
       best = t;

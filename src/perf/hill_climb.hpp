@@ -72,11 +72,12 @@ struct HillClimbParams {
   int max_threads = 68;
   /// Profile both affinity modes (the paper always does; tests toggle it).
   bool both_modes = true;
-  /// Consecutive time increases required before the climb stops. Measured
-  /// curves are noisy; stopping on the first uptick (patience = 1, the
-  /// paper's literal rule) truncates the curve at spurious jitter bumps.
-  int patience = 2;
 };
+
+/// Consecutive time increases required before the climb stops. Measured
+/// curves are noisy; stopping on the first uptick (the paper's literal
+/// rule) truncates the curve at spurious jitter bumps.
+inline constexpr int kHillClimbPatience = 2;
 
 class HillClimbProfiler {
  public:

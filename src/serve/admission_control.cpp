@@ -4,6 +4,11 @@
 
 namespace opsched::serve {
 
+namespace {
+/// Batch admission budget, in machine cores' worth of mean width demand.
+constexpr double kCapacityFactor = 1.25;
+}  // namespace
+
 WidthDemand estimate_demand(const Graph& g, const PerfDatabase& db) {
   WidthDemand d;
   double weighted_width = 0.0;
@@ -28,14 +33,6 @@ AdmissionController::AdmissionController(AdmissionOptions options,
                                          std::size_t machine_cores)
     : options_(options), cores_(std::max<std::size_t>(1, machine_cores)) {
   options_.max_corun_jobs = std::max<std::size_t>(1, options_.max_corun_jobs);
-  if (options_.capacity_factor <= 0.0) options_.capacity_factor = 1.0;
-}
-
-double AdmissionController::total_mean_width(
-    const std::vector<WidthDemand>& resident) {
-  double total = 0.0;
-  for (const WidthDemand& d : resident) total += d.mean_width;
-  return total;
 }
 
 int AdmissionController::clamped_floor(int width_floor) const noexcept {
@@ -45,18 +42,6 @@ int AdmissionController::clamped_floor(int width_floor) const noexcept {
 double AdmissionController::charged_width(
     const WidthDemand& d) const noexcept {
   return d.profiled ? d.mean_width : static_cast<double>(cores_);
-}
-
-bool AdmissionController::admit(
-    const WidthDemand& candidate,
-    const std::vector<WidthDemand>& resident) const {
-  if (resident.empty()) return true;  // idle machine: always take work
-  if (resident.size() >= options_.max_corun_jobs) return false;
-  const double budget =
-      options_.capacity_factor * static_cast<double>(cores_);
-  double total = charged_width(candidate);
-  for (const WidthDemand& d : resident) total += charged_width(d);
-  return total <= budget;
 }
 
 bool AdmissionController::admit(
@@ -79,7 +64,7 @@ bool AdmissionController::admit(
   }
   double total = charged_width(candidate);
   for (const ResidentDemand& r : resident) total += charged_width(r.demand);
-  return total <= options_.capacity_factor * static_cast<double>(cores_);
+  return total <= kCapacityFactor * static_cast<double>(cores_);
 }
 
 }  // namespace opsched::serve

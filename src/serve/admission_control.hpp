@@ -42,8 +42,8 @@ struct WidthDemand {
 /// reports the neutral demand {1.0, 1, 0.0} with `profiled == false`.
 WidthDemand estimate_demand(const Graph& g, const PerfDatabase& db);
 
-/// What the class-aware admit() weighs a resident job by: its profiled
-/// appetite plus the tenancy class that decides WHICH budget it charges.
+/// What admit() weighs a resident job by: its profiled appetite plus the
+/// tenancy class that decides WHICH budget it charges.
 struct ResidentDemand {
   WidthDemand demand;
   JobKind kind = JobKind::kTraining;
@@ -56,13 +56,6 @@ struct AdmissionOptions {
   /// Hard cap on co-resident jobs, whatever their demand: each tenant
   /// costs scheduler state and dispatcher work every round.
   std::size_t max_corun_jobs = 4;
-  /// Admit while (resident + candidate) mean width demand stays within
-  /// capacity_factor x machine cores. > 1.0 oversubscribes on purpose —
-  /// co-located jobs rarely peak together (that bet is the paper's
-  /// Strategy 3 applied at job granularity); < 1.0 reserves headroom.
-  /// Batch (training) candidates only — inference candidates are admitted
-  /// by floors instead (see admit()).
-  double capacity_factor = 1.25;
 };
 
 /// Pure decision logic (no clock, no state): the service owns the queue
@@ -75,22 +68,19 @@ class AdmissionController {
   /// Admit `candidate` alongside `resident` now? An empty machine always
   /// admits (a job wider than the machine must still run eventually —
   /// the per-op scheduler caps its launches to the cores that exist).
-  /// Batch-only form: every resident is charged as a training tenant.
-  bool admit(const WidthDemand& candidate,
-             const std::vector<WidthDemand>& resident) const;
-
-  /// Class-aware form. Training candidates take the capacity test above
-  /// (their mean width plus every resident's must fit the oversubscribed
-  /// budget). Inference candidates are admitted while the resident
-  /// inference FLOORS plus their own fit the physical cores — their per-op
-  /// priority displaces batch work at op boundaries anyway, so charging
-  /// them against batch demand would only keep latency tenants out of a
-  /// machine that can serve them. Every floor (candidate and resident) is
-  /// passed through clamped_floor() first: a floor wider than the machine
-  /// is a request the hardware can never satisfy, and letting it into the
-  /// floors sum would starve every later inference candidate behind a
-  /// reservation that cannot exist (it also used to leak into the per-op
-  /// walk as a permanently unsatisfiable reservation).
+  /// Training candidates take the capacity test: their charged mean width
+  /// plus every resident's must fit 1.25 x cores — oversubscribed on
+  /// purpose, since co-located jobs rarely peak together (the paper's
+  /// Strategy 3 bet applied at job granularity). Inference candidates are
+  /// admitted while the resident inference FLOORS plus their own fit the
+  /// physical cores — their per-op priority displaces batch work at op
+  /// boundaries anyway, so charging them against batch demand would only
+  /// keep latency tenants out of a machine that can serve them. Every floor (candidate and resident) is passed through
+  /// clamped_floor() first: a floor wider than the machine is a request
+  /// the hardware can never satisfy, and letting it into the floors sum
+  /// would starve every later inference candidate behind a reservation
+  /// that cannot exist (it also used to leak into the per-op walk as a
+  /// permanently unsatisfiable reservation).
   bool admit(const WidthDemand& candidate, JobKind kind, int width_floor,
              const std::vector<ResidentDemand>& resident) const;
 
@@ -104,9 +94,6 @@ class AdmissionController {
   /// or the full machine when the demand is unprofiled (packing a job the
   /// profiler knows nothing about as width-1 would place it blind).
   double charged_width(const WidthDemand& d) const noexcept;
-
-  /// Sum of resident mean widths the capacity test charges.
-  static double total_mean_width(const std::vector<WidthDemand>& resident);
 
   const AdmissionOptions& options() const noexcept { return options_; }
   std::size_t machine_cores() const noexcept { return cores_; }

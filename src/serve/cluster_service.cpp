@@ -16,6 +16,9 @@ constexpr std::size_t kMaxMigrationsPerPump = 2;
 /// A queued job's move must improve the balance objective by more than
 /// this to be worth the requeue.
 constexpr double kMigrationMinGain = 1e-9;
+/// Base seed of the placement annealer, mixed with the batch counter so
+/// successive batches explore differently, still deterministically.
+constexpr std::uint64_t kAnnealSeed = 0x5e7a11ULL;
 }  // namespace
 
 ClusterService::ClusterService(const MachineSpec& shard_spec,
@@ -70,10 +73,9 @@ bool ClusterService::cancel(ClusterJobId id) {
   auto lk = pump_.lock();
   if (id == kInvalidClusterJob || id > jobs_.size()) return false;
   Job& job = jobs_[id - 1];
-  if (!job.placed) {
-    if (job.cancelled_unplaced) return false;
+  if (!job.placed()) {
+    if (job.cancel_requested) return false;
     // Never reached a shard: close it at the front door, synchronously.
-    job.cancelled_unplaced = true;
     job.cancel_requested = true;
     pump_.notify();
     return true;
@@ -85,12 +87,10 @@ bool ClusterService::cancel(ClusterJobId id) {
 }
 
 bool ClusterService::pump_work_pending() const {
-  for (const Job& job : jobs_) {
-    if (!job.placed && !job.cancelled_unplaced) return true;
-    // A cancel on a placed job needs the pump to drive that shard's
-    // boundary pass.
-    if (job.placed && job.cancel_requested) return true;
-  }
+  // An unplaced, uncancelled job waits for placement; a cancel on a placed
+  // job needs the pump to drive that shard's boundary pass.
+  for (const Job& job : jobs_)
+    if (job.placed() == job.cancel_requested) return true;
   return false;
 }
 
@@ -99,10 +99,7 @@ FleetJob ClusterService::wait(ClusterJobId id) {
   if (id == kInvalidClusterJob || id > jobs_.size())
     throw std::out_of_range("ClusterService::wait: unknown job " +
                             std::to_string(id));
-  const auto terminal = [&] {
-    return job_state_terminal(fleet_job_locked(id, jobs_[id - 1]).record.state);
-  };
-  pump_.wait(lk, terminal);
+  pump_.wait(lk, [&] { return terminal_locked(jobs_[id - 1]); });
   return fleet_job_locked(id, jobs_[id - 1]);
 }
 
@@ -143,16 +140,14 @@ double ClusterService::fleet_now_locked() const {
   return now;
 }
 
+bool ClusterService::terminal_locked(const Job& job) const {
+  if (!job.placed()) return job.cancel_requested;
+  return job_state_terminal(shards_[job.shard]->job_state(job.local_id));
+}
+
 bool ClusterService::pump_all_terminal() const {
-  for (const Job& job : jobs_) {
-    if (!job.placed) {
-      if (!job.cancelled_unplaced) return false;
-      continue;
-    }
-    if (!job_state_terminal(
-            shards_[job.shard]->job_record(job.local_id).state))
-      return false;
-  }
+  for (const Job& job : jobs_)
+    if (!terminal_locked(job)) return false;
   return true;
 }
 
@@ -161,7 +156,7 @@ FleetJob ClusterService::fleet_job_locked(ClusterJobId id,
   FleetJob fj;
   fj.id = id;
   fj.migrations = job.migrations;
-  if (job.placed) {
+  if (job.placed()) {
     fj.shard = job.shard;
     fj.local_id = job.local_id;
     fj.record = shards_[job.shard]->job_record(job.local_id);
@@ -171,7 +166,7 @@ FleetJob ClusterService::fleet_job_locked(ClusterJobId id,
   fj.record.id = kInvalidJob;
   fj.record.name = job.spec.name;
   fj.record.state =
-      job.cancelled_unplaced ? JobState::kCancelled : JobState::kQueued;
+      job.cancel_requested ? JobState::kCancelled : JobState::kQueued;
   fj.record.kind = job.spec.kind;
   fj.record.steps_total = job.spec.kind == JobKind::kInference
                               ? static_cast<int>(job.spec.arrivals.size())
@@ -179,7 +174,7 @@ FleetJob ClusterService::fleet_job_locked(ClusterJobId id,
   fj.record.weight = job.spec.weight > 0.0 ? job.spec.weight : 1.0;
   fj.record.priority = job.spec.priority;
   fj.record.submit_ms = job.submit_ms;
-  if (job.cancelled_unplaced) fj.record.finish_ms = job.submit_ms;
+  if (job.cancel_requested) fj.record.finish_ms = job.submit_ms;
   return fj;
 }
 
@@ -188,10 +183,7 @@ std::vector<ShardLoad> ClusterService::shard_loads_locked() const {
   for (std::size_t s = 0; s < shards_.size(); ++s)
     loads[s].cores = shards_[s]->capacity_cores();
   for (const Job& job : jobs_) {
-    if (!job.placed) continue;
-    if (job_state_terminal(
-            shards_[job.shard]->job_record(job.local_id).state))
-      continue;
+    if (!job.placed() || terminal_locked(job)) continue;
     loads[job.shard].width +=
         placement_charged_width(job.demand, loads[job.shard].cores);
   }
@@ -200,7 +192,7 @@ std::vector<ShardLoad> ClusterService::shard_loads_locked() const {
 
 void ClusterService::refresh_demand_locked() {
   for (Job& job : jobs_) {
-    if (!job.placed || job.demand.profiled) continue;
+    if (!job.placed() || job.demand.profiled) continue;
     const WidthDemand d = shards_[job.shard]->demand_of(job.local_id);
     if (d.profiled) job.demand = d;
   }
@@ -222,9 +214,8 @@ WidthDemand ClusterService::estimate_pending_locked(
 void ClusterService::place_pending_locked() {
   std::vector<std::size_t> pending;  // indices into jobs_
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    Job& job = jobs_[i];
-    if (job.placed || job.cancelled_unplaced) continue;
-    pending.push_back(i);
+    const Job& job = jobs_[i];
+    if (!job.placed() && !job.cancel_requested) pending.push_back(i);
   }
   if (pending.empty()) return;
 
@@ -242,9 +233,8 @@ void ClusterService::place_pending_locked() {
 
   std::vector<std::size_t> assignment = greedy_place(widths, base);
   if (options_.placement.anneal && shards_.size() > 1) {
-    PlacementOptions popt = options_.placement;
-    popt.anneal_seed = mix64(popt.anneal_seed, placement_batches_);
-    assignment = anneal_place(widths, base, std::move(assignment), popt);
+    assignment = anneal_place(widths, base, std::move(assignment),
+                              mix64(kAnnealSeed, placement_batches_));
   }
   ++placement_batches_;
 
@@ -253,11 +243,9 @@ void ClusterService::place_pending_locked() {
     const std::size_t s = assignment[k];
     job.local_id = shards_[s]->submit(std::move(job.spec));
     job.spec = JobSpec();
-    job.placed = true;
     job.shard = s;
     ++placements_;
     if (m_placements_ != nullptr) m_placements_->inc();
-    if (job.cancel_requested) shards_[s]->cancel(job.local_id);
   }
 }
 
@@ -268,11 +256,13 @@ void ClusterService::migrate_queued_locked() {
   for (std::size_t i = 0;
        i < jobs_.size() && moved < kMaxMigrationsPerPump; ++i) {
     Job& job = jobs_[i];
-    if (!job.placed || job.cancel_requested) continue;
-    const JobRecord rec = shards_[job.shard]->job_record(job.local_id);
+    if (!job.placed() || job.cancel_requested) continue;
     // Only never-admitted jobs move: a running job keeps its shard (the
     // step is atomic and its checksums must not change machines mid-run).
-    if (rec.state != JobState::kQueued || rec.admit_ms >= 0.0) continue;
+    // kQueued is never re-entered after admission, so the state alone says
+    // the job was never admitted.
+    if (shards_[job.shard]->job_state(job.local_id) != JobState::kQueued)
+      continue;
 
     const std::size_t from = job.shard;
     const double w = placement_charged_width(job.demand, loads[from].cores);
@@ -356,9 +346,7 @@ bool ClusterService::pump_cycle(std::unique_lock<std::mutex>& lk) {
   // drop it once the shard has booked the cancel, or the background pump
   // would never park again.
   for (Job& job : jobs_) {
-    if (!job.placed || !job.cancel_requested) continue;
-    if (job_state_terminal(
-            shards_[job.shard]->job_record(job.local_id).state))
+    if (job.placed() && job.cancel_requested && terminal_locked(job))
       job.cancel_requested = false;
   }
   return progress || shard_worked;

@@ -172,8 +172,9 @@ class ClusterService : private Pump::Owner {
     /// Valid until the job is dispatched to a shard (moved out), and again
     /// between a withdraw and the resubmission.
     JobSpec spec;
-    bool placed = false;
-    bool cancelled_unplaced = false;
+    /// Set by cancel(). On a job that never reached a shard it means the
+    /// job is closed at the front door; on a placed job it is the pump's
+    /// "boundary work pending" signal until the shard books the cancel.
     bool cancel_requested = false;
     std::size_t shard = FleetJob::kUnplaced;
     JobId local_id = kInvalidJob;
@@ -184,6 +185,8 @@ class ClusterService : private Pump::Owner {
     /// Front-door submit time on the FLEET clock (max shard clock) — only
     /// used for the synthetic record of never-placed jobs.
     double submit_ms = 0.0;
+
+    bool placed() const { return shard != FleetJob::kUnplaced; }
   };
 
   /// One pump cycle (see run_pump); `lk` held, released while the shards
@@ -207,6 +210,9 @@ class ClusterService : private Pump::Owner {
   /// The fleet record for `job` (shard ledger copy, or synthesized for
   /// never-placed jobs).
   FleetJob fleet_job_locked(ClusterJobId id, const Job& job) const;
+  /// Whether `job` is terminal, from its shard's state alone (no record
+  /// copy): the per-pump reads must not grow with the requests served.
+  bool terminal_locked(const Job& job) const;
   double fleet_now_locked() const;
 
   ClusterServiceOptions options_;

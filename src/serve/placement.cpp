@@ -63,7 +63,9 @@ std::vector<std::size_t> greedy_place(const std::vector<double>& widths,
 std::vector<std::size_t> anneal_place(const std::vector<double>& widths,
                                       const std::vector<ShardLoad>& base,
                                       std::vector<std::size_t> assignment,
-                                      const PlacementOptions& options) {
+                                      std::uint64_t seed) {
+  constexpr int kIters = 256;
+  constexpr double kCooling = 0.97;
   if (base.empty())
     throw std::invalid_argument("anneal_place: no shards to place on");
   if (assignment.size() != widths.size())
@@ -76,10 +78,9 @@ std::vector<std::size_t> anneal_place(const std::vector<double>& widths,
   std::vector<std::size_t> best_assignment = assignment;
   double best = current;
 
-  Xoshiro256 rng(options.anneal_seed);
-  double temp = std::max(options.anneal_temp, 1e-12);
-  const double cooling = std::clamp(options.anneal_cooling, 0.0, 1.0);
-  for (int it = 0; it < options.anneal_iters; ++it, temp *= cooling) {
+  Xoshiro256 rng(seed);
+  double temp = 0.5;
+  for (int it = 0; it < kIters; ++it, temp *= kCooling) {
     const std::size_t j = rng.uniform_index(widths.size());
     const std::size_t from = assignment[j];
     std::size_t to = rng.uniform_index(base.size() - 1);

@@ -25,16 +25,6 @@ namespace opsched::serve {
 struct PlacementOptions {
   /// Run the annealing improvement pass after the greedy bin-pack.
   bool anneal = true;
-  /// Annealing proposals per pending batch.
-  int anneal_iters = 256;
-  /// Initial Metropolis temperature on the objective scale, decayed
-  /// geometrically by anneal_cooling each proposal.
-  double anneal_temp = 0.5;
-  double anneal_cooling = 0.97;
-  /// Seed of the annealer's private Xoshiro stream (mixed with a batch
-  /// counter by the cluster so successive batches explore differently,
-  /// still deterministically).
-  std::uint64_t anneal_seed = 0x5e7a11ULL;
 };
 
 /// One shard's standing commitment as placement sees it: the summed
@@ -69,13 +59,14 @@ std::vector<std::size_t> greedy_place(const std::vector<double>& widths,
                                       const std::vector<ShardLoad>& base);
 
 /// Annealing improvement over `assignment` (usually the greedy seed):
-/// proposes single-job shard moves, accepts by Metropolis on
-/// placement_objective, and returns the best assignment visited — the
-/// result's objective is never worse than the input's. Deterministic for
-/// a given (inputs, options.anneal_seed).
+/// 256 single-job shard moves proposed on a Xoshiro stream seeded with
+/// `seed`, accepted by Metropolis on placement_objective (temperature 0.5
+/// on the objective scale, cooled by 0.97 per proposal). Returns the best
+/// assignment visited — the result's objective is never worse than the
+/// input's. Deterministic for given (inputs, seed).
 std::vector<std::size_t> anneal_place(const std::vector<double>& widths,
                                       const std::vector<ShardLoad>& base,
                                       std::vector<std::size_t> assignment,
-                                      const PlacementOptions& options);
+                                      std::uint64_t seed);
 
 }  // namespace opsched::serve

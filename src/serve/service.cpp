@@ -196,6 +196,11 @@ JobRecord SchedulerService::job_record(JobId id) const {
   return rec;
 }
 
+JobState SchedulerService::job_state(JobId id) const {
+  auto lk = pump_.lock();
+  return ledger_.at(id).state;
+}
+
 void SchedulerService::book_latency_percentiles_locked(JobRecord& rec) const {
   const auto it = jobs_.find(rec.id);
   if (it == jobs_.end() || it->second->latencies.empty()) return;

@@ -170,8 +170,14 @@ class SchedulerService : private Pump::Owner {
   /// running, or mid-profiling jobs.
   std::optional<JobSpec> withdraw(JobId id);
 
-  /// Copy of `id`'s ledger record. Throws std::out_of_range on unknown id.
+  /// Copy of `id`'s ledger record, with exact p50/p99 latency for an
+  /// inference job. Throws std::out_of_range on unknown id.
   JobRecord job_record(JobId id) const;
+
+  /// `id`'s lifecycle state alone: what job_record reports, without copying
+  /// the record or sorting its latency series. Throws std::out_of_range on
+  /// unknown id.
+  JobState job_state(JobId id) const;
 
   /// The job's profiled width demand, or an UNPROFILED WidthDemand (see
   /// admission_control.hpp) while the job has not reached its first

@@ -26,37 +26,13 @@ LaunchPad::~LaunchPad() {
   for (auto& lane : lanes_) lane->thread.join();
 }
 
-void LaunchPad::launch(std::function<void()> job) {
-  // Relaxed reads are fine: balance is a heuristic, and any lane is
-  // correct. Ties go to the lowest lane, keeping single-job callers on
-  // lane 0 deterministically.
-  std::size_t best = 0;
-  std::size_t best_load = lanes_[0]->load.load(std::memory_order_relaxed);
-  for (std::size_t i = 1; i < lanes_.size() && best_load > 0; ++i) {
-    const std::size_t load = lanes_[i]->load.load(std::memory_order_relaxed);
-    if (load < best_load) {
-      best = i;
-      best_load = load;
-    }
-  }
-  launch_on(best, std::move(job));
-}
-
 void LaunchPad::launch_on(std::size_t lane_index, std::function<void()> job) {
   Lane& lane = *lanes_[lane_index % lanes_.size()];
   {
     std::lock_guard<std::mutex> lock(lane.mutex);
     lane.queue.push_back(std::move(job));
-    lane.load.fetch_add(1, std::memory_order_relaxed);
   }
   lane.cv.notify_one();
-}
-
-std::size_t LaunchPad::in_flight() const {
-  std::size_t n = 0;
-  for (const auto& lane : lanes_)
-    n += lane->load.load(std::memory_order_acquire);
-  return n;
 }
 
 void LaunchPad::worker_loop(Lane& lane) {
@@ -71,7 +47,6 @@ void LaunchPad::worker_loop(Lane& lane) {
       lane.queue.pop_front();
     }
     job();
-    lane.load.fetch_sub(1, std::memory_order_release);
   }
 }
 

@@ -17,11 +17,9 @@
 // SAME launcher thread for the same cores — the handoff touches one
 // uncontended mutex, and the launcher's working set (its stack, the team it
 // keeps waking) stays warm on that core's cache instead of migrating to
-// whichever launcher won a shared queue. launch() keeps the old pick-any
-// semantics on top of the lanes for callers without a span mapping.
+// whichever launcher won a shared queue.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -33,10 +31,10 @@
 
 namespace opsched {
 
-/// Thread-safety: launch() / launch_on() may be called concurrently from
-/// any threads; jobs run concurrently on launcher threads. Jobs posted to
-/// one lane run in posting order. The destructor drains queued jobs, waits
-/// for running ones, then joins.
+/// Thread-safety: launch_on() may be called concurrently from any threads;
+/// jobs run concurrently on launcher threads. Jobs posted to one lane run
+/// in posting order. The destructor drains queued jobs, waits for running
+/// ones, then joins.
 class LaunchPad {
  public:
   /// Spawns `width` launcher threads (at least 1), one per lane.
@@ -45,30 +43,20 @@ class LaunchPad {
   LaunchPad& operator=(const LaunchPad&) = delete;
   ~LaunchPad();
 
-  /// Enqueues `job` on the least-loaded lane. Never blocks: jobs queue when
-  /// all launchers are busy (the host executor sizes the pad to its maximum
-  /// co-run degree, so queueing is the uncommon case).
-  void launch(std::function<void()> job);
-
   /// Enqueues `job` on lane `lane % width()`. Never blocks; jobs on a busy
   /// lane wait for it (that is the point — the caller picked the lane
   /// because the previous job there must finish first anyway).
   void launch_on(std::size_t lane, std::function<void()> job);
 
   std::size_t width() const noexcept { return lanes_.size(); }
-  /// Jobs queued or running right now.
-  std::size_t in_flight() const;
 
  private:
-  /// One launcher thread's private mailbox. `load` (queued + running) is
-  /// the lock-free balance read for launch(); it is maintained under the
-  /// lane mutex but read without it.
+  /// One launcher thread's private mailbox.
   struct Lane {
     std::mutex mutex;
     std::condition_variable cv;
     std::deque<std::function<void()>> queue;
     bool stopping = false;
-    std::atomic<std::size_t> load{0};
     std::thread thread;
   };
 

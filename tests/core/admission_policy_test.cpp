@@ -300,11 +300,13 @@ TEST_F(AdmissionPolicyTest, RecordedBadPairIsNeverCoRunAgain) {
   EXPECT_FALSE(
       overlay(policy, ready, 8, {running_view(1, 50.0)})
           .has_value());
+  // Blocked by the record, not the throughput guard: ample remaining time
+  // on the running op changes nothing.
+  EXPECT_FALSE(overlay(policy, ready, 8, {running_view(1, 1e6)}).has_value());
 
   policy.reset_learning();
   EXPECT_EQ(policy.recorded_bad_pairs(), 0u);
-  EXPECT_FALSE(policy.bad_pair_with_running(TenantOpKey{0, a},
-                                            {running_view(5, 1.0)}));
+  EXPECT_TRUE(overlay(policy, ready, 8, {running_view(1, 1e6)}).has_value());
 }
 
 TEST_F(AdmissionPolicyTest, ThroughputGuardRejectsOutlastingCandidates) {
@@ -395,16 +397,20 @@ TEST_F(AdmissionPolicyTest, BadPairsFollowStableIdsAcrossSlots) {
   TenantSet swapped;
   swapped.ids = {9, 7};
   p.configure_tenants(swapped);
-  RunningOpView running = running_view(2, 50.0);
+  RunningOpView running = running_view(2, 1e6);
   running.tenant = 0;  // slot 0 now hosts id 9
-  EXPECT_TRUE(p.bad_pair_with_running(
-      TenantOpKey{1, OpKey::of(graph_.node(1))}, {running}));
+  const ReadyQueue none;
+  const ReadyQueue conv{1};
+  const std::vector<TenantReadyView> slot1_ready = {{&graph_, &none},
+                                                    {&graph_, &conv}};
+  EXPECT_FALSE(p.next_overlay_multi(slot1_ready, 8, {running}).has_value());
   // An unrelated third job in id 9's old slot is NOT penalised.
   TenantSet fresh;
   fresh.ids = {9, 55};
   p.configure_tenants(fresh);
-  EXPECT_FALSE(p.bad_pair_with_running(
-      TenantOpKey{1, OpKey::of(graph_.node(1))}, {running}));
+  const auto d = p.next_overlay_multi(slot1_ready, 8, {running});
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->tenant, 1u);
 }
 
 TEST_F(AdmissionPolicyTest, RetireTenantDropsItsLearnedStateOnly) {

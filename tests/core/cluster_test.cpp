@@ -44,8 +44,6 @@ TEST(Cluster, RequiresProfilingBeforeStep) {
 TEST(Cluster, AllReduceCostModel) {
   ClusterOptions opt;
   opt.num_workers = 4;
-  opt.interconnect_gbs = 10.0;
-  opt.hop_latency_ms = 0.02;
   DataParallelCluster cluster(MachineSpec::knl(), opt);
   // Ring all-reduce: 2*(W-1)/W * bytes/bw + 2*(W-1)*latency.
   const double bytes = 100e6;

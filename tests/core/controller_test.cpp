@@ -76,7 +76,7 @@ TEST_F(ControllerTest, NonTunableOpsKeepDefaultWidth) {
   const Graph g = two_instance_graph();
   rt.profile(g);
   const Candidate conv_choice = rt.controller().choice_for(g.node(0));
-  EXPECT_EQ(conv_choice.threads, rt.options().default_width);
+  EXPECT_EQ(conv_choice.threads, rt.controller().default_width());
   // And only one candidate is offered (no tuning freedom).
   EXPECT_EQ(rt.controller().candidates_for(g.node(0), 3).size(), 1u);
 }
@@ -86,7 +86,7 @@ TEST_F(ControllerTest, NoModelStrategiesMeansDefaultWidth) {
   const Graph g = two_instance_graph();
   rt.profile(g);
   EXPECT_EQ(rt.controller().choice_for(g.node(1)).threads,
-            rt.options().default_width);
+            rt.controller().default_width());
 }
 
 TEST_F(ControllerTest, CandidatesComeFromProfileAndAreBounded) {
@@ -129,7 +129,7 @@ TEST_F(ControllerTest, ProfilingReportCountsUniqueOps) {
 TEST_F(ControllerTest, ConsolidatedWidthDefaultsWhenUnprofiled) {
   Runtime rt = make_runtime(kStrategyAll);
   EXPECT_EQ(rt.controller().consolidated_width(OpKind::kConv2D),
-            rt.options().default_width);
+            rt.controller().default_width());
 }
 
 }  // namespace

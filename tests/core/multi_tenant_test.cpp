@@ -183,16 +183,34 @@ TEST(MultiTenantPolicyTest, PerTenantInterferenceRecordsAreIndependent) {
   EXPECT_EQ(policy.recorded_bad_pairs(0), 1u);
   EXPECT_EQ(policy.recorded_bad_pairs(1), 0u);
 
-  RunningOpView running0{b, 50.0, /*tenant=*/0};
-  RunningOpView running1{b, 50.0, /*tenant=*/1};
+  // Observed through the picks: the queues hold op a (node 1) while op b
+  // runs for `owner` with ample remaining time, so only the record can
+  // turn a candidate away.
+  const ReadyQueue with_a{1};
+  const ReadyQueue none;
+  const auto overlay = [&](const ReadyQueue& q0, const ReadyQueue& q1,
+                           std::size_t owner) {
+    const RunningOpView running{b, 1e9, owner};
+    return policy.next_overlay_multi({{&g, &q0}, {&g, &q1}}, 4, {running});
+  };
   // The pair only blocks when BOTH endpoints are tenant 0's.
-  EXPECT_TRUE(policy.bad_pair_with_running(TenantOpKey{0, a}, {running0}));
-  EXPECT_FALSE(policy.bad_pair_with_running(TenantOpKey{0, a}, {running1}));
-  EXPECT_FALSE(policy.bad_pair_with_running(TenantOpKey{1, a}, {running0}));
+  EXPECT_FALSE(overlay(with_a, none, 0).has_value());
+  EXPECT_TRUE(overlay(with_a, none, 1).has_value());
+  EXPECT_TRUE(overlay(none, with_a, 0).has_value());
+  // Both tenants hold op a beside tenant 0's b: the pair skips the op for
+  // tenant 0 only, in the overlay and the launch walk alike.
+  const auto both = overlay(with_a, with_a, 0);
+  ASSERT_TRUE(both.has_value());
+  EXPECT_EQ(both->tenant, 1u);
+  const auto launched =
+      launch_one(policy, {{&g, &with_a}, {&g, &with_a}}, 60,
+                 {RunningOpView{b, 1e9, /*tenant=*/0}});
+  ASSERT_TRUE(launched.has_value());
+  EXPECT_EQ(launched->tenant, 1u);
 
   // Cross-tenant pairs are representable too.
   policy.record_interference(TenantOpKey{1, a}, {TenantOpKey{0, b}});
-  EXPECT_TRUE(policy.bad_pair_with_running(TenantOpKey{1, a}, {running0}));
+  EXPECT_FALSE(overlay(none, with_a, 0).has_value());
   EXPECT_EQ(policy.recorded_bad_pairs(), 2u);
 }
 

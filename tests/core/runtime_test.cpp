@@ -106,13 +106,11 @@ TEST(Runtime, HillClimbIntervalOptionRespected) {
   EXPECT_LT(rc.total_samples, rf.total_samples);
 }
 
-TEST(Runtime, DefaultWidthClampedToMachine) {
+TEST(Runtime, DefaultWidthIsTheMachinesCores) {
   MachineSpec tiny = MachineSpec::knl();
   tiny.num_cores = 16;
-  RuntimeOptions opt;
-  opt.default_width = 68;
-  Runtime rt(tiny, opt);
-  EXPECT_EQ(rt.options().default_width, 16);
+  Runtime rt(tiny);
+  EXPECT_EQ(rt.controller().default_width(), 16);
 }
 
 TEST(Runtime, StepResultStatsConsistent) {

@@ -13,13 +13,19 @@
 namespace opsched {
 namespace {
 
+/// The exported trace, parsed back: the array of Chrome events.
+json::JsonArray export_parsed(const EventTrace& trace, const Graph& g) {
+  obs::TraceCollector collector;
+  export_step_trace(trace, g, collector);
+  json::JsonValue doc = json::parse(collector.to_chrome_json());
+  EXPECT_EQ(doc.kind, json::JsonValue::Kind::kArray);
+  return std::move(*doc.array);
+}
+
 TEST(TraceExport, EmptyTraceIsEmptyArray) {
   const Graph g;
   EventTrace trace;
-  const std::string json = trace_to_chrome_json(trace, g);
-  EXPECT_EQ(json.find('['), 0u);
-  EXPECT_NE(json.find(']'), std::string::npos);
-  EXPECT_EQ(json.find("\"ph\""), std::string::npos);
+  EXPECT_TRUE(export_parsed(trace, g).empty());
 }
 
 TEST(TraceExport, PairsLaunchAndFinish) {
@@ -31,12 +37,15 @@ TEST(TraceExport, PairsLaunchAndFinish) {
   EventTrace trace;
   trace.record(1.0, true, a, OpKind::kConv2D, 1);
   trace.record(3.5, false, a, OpKind::kConv2D, 0);
-  const std::string json = trace_to_chrome_json(trace, g);
-  EXPECT_NE(json.find("\"name\":\"my_op\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ts\":1000"), std::string::npos);   // ms -> us
-  EXPECT_NE(json.find("\"dur\":2500"), std::string::npos);
-  EXPECT_NE(json.find("\"cat\":\"Conv2D\""), std::string::npos);
+  const json::JsonArray events = export_parsed(trace, g);
+  ASSERT_EQ(events.size(), 1u);
+  const json::JsonValue& e = events[0];
+  EXPECT_EQ(json::str_member(e, "name"), "my_op");
+  EXPECT_EQ(json::str_member(e, "ph"), "X");
+  EXPECT_DOUBLE_EQ(json::num_member(e, "ts"), 1000.0);  // ms -> us
+  EXPECT_DOUBLE_EQ(json::num_member(e, "dur"), 2500.0);
+  EXPECT_EQ(json::str_member(e, "cat"), "Conv2D");
+  EXPECT_DOUBLE_EQ(json::num_member(e, "pid"), 1.0);
 }
 
 TEST(TraceExport, OverlappingOpsGetDistinctLanes) {
@@ -50,9 +59,12 @@ TEST(TraceExport, OverlappingOpsGetDistinctLanes) {
   trace.record(0.5, true, b, OpKind::kConv2D, 2);
   trace.record(1.0, false, a, OpKind::kConv2D, 1);
   trace.record(1.5, false, b, OpKind::kConv2D, 0);
-  const std::string json = trace_to_chrome_json(trace, g);
-  EXPECT_NE(json.find("\"tid\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":1"), std::string::npos);
+  const json::JsonArray events = export_parsed(trace, g);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(json::str_member(events[0], "name"), "a");
+  EXPECT_DOUBLE_EQ(json::num_member(events[0], "tid"), 0.0);
+  EXPECT_EQ(json::str_member(events[1], "name"), "b");
+  EXPECT_DOUBLE_EQ(json::num_member(events[1], "tid"), 1.0);
 }
 
 TEST(TraceExport, EscapesQuotesInLabels) {
@@ -63,8 +75,9 @@ TEST(TraceExport, EscapesQuotesInLabels) {
   EventTrace trace;
   trace.record(0.0, true, a, OpKind::kConv2D, 1);
   trace.record(1.0, false, a, OpKind::kConv2D, 0);
-  const std::string json = trace_to_chrome_json(trace, g);
-  EXPECT_NE(json.find("weird\\\"label"), std::string::npos);
+  const json::JsonArray events = export_parsed(trace, g);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(json::str_member(events[0], "name"), "weird\"label");
 }
 
 TEST(TraceExport, AdversarialLabelsStillParse) {
@@ -83,19 +96,10 @@ TEST(TraceExport, AdversarialLabelsStillParse) {
   trace.record(1.0, false, a, OpKind::kConv2D, 1);
   trace.record(1.5, false, b, OpKind::kMatMul, 0);
 
-  const json::JsonValue doc = json::parse(trace_to_chrome_json(trace, g));
-  ASSERT_EQ(doc.kind, json::JsonValue::Kind::kArray);
-  ASSERT_EQ(doc.array->size(), 2u);
-  EXPECT_EQ(json::str_member((*doc.array)[0], "name"), "conv\\bwd \"grad\"");
-  EXPECT_EQ(json::str_member((*doc.array)[1], "name"), "mm\nline\ttab\x01ctl");
-}
-
-TEST(TraceExport, EmptyTraceParsesAsEmptyArray) {
-  const Graph g;
-  EventTrace trace;
-  const json::JsonValue doc = json::parse(trace_to_chrome_json(trace, g));
-  ASSERT_EQ(doc.kind, json::JsonValue::Kind::kArray);
-  EXPECT_TRUE(doc.array->empty());
+  const json::JsonArray events = export_parsed(trace, g);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(json::str_member(events[0], "name"), "conv\\bwd \"grad\"");
+  EXPECT_EQ(json::str_member(events[1], "name"), "mm\nline\ttab\x01ctl");
 }
 
 TEST(TraceExport, FullStepTraceRoundTripsToFile) {
@@ -104,21 +108,22 @@ TEST(TraceExport, FullStepTraceRoundTripsToFile) {
   rt.profile(g);
   const StepResult r = rt.run_step(g);
 
+  obs::TraceCollector collector;
+  export_step_trace(r.trace, g, collector);
   const std::string path = std::string(::testing::TempDir()) + "/trace.json";
-  write_chrome_trace(path, r.trace, g);
+  collector.write(path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   // One complete event per executed op.
+  const json::JsonValue doc = json::parse(content);
+  ASSERT_EQ(doc.kind, json::JsonValue::Kind::kArray);
   std::size_t events = 0;
-  for (std::size_t pos = 0; (pos = content.find("\"ph\":\"X\"", pos)) !=
-                            std::string::npos;
-       ++pos)
-    ++events;
+  for (const json::JsonValue& e : *doc.array)
+    if (json::str_member(e, "ph") == "X") ++events;
   EXPECT_EQ(events, g.size());
-  EXPECT_THROW(write_chrome_trace("/no-such-dir-xyz/t.json", r.trace, g),
-               std::runtime_error);
+  EXPECT_THROW(collector.write("/no-such-dir-xyz/t.json"), std::runtime_error);
 }
 
 }  // namespace

@@ -17,6 +17,13 @@ ProfileCurve curve_best(int threads, double time_ms) {
   return c;
 }
 
+/// A training resident of the given mean width.
+ResidentDemand trainer(double mean_width) {
+  WidthDemand d;
+  d.mean_width = mean_width;
+  return {d, JobKind::kTraining, 1};
+}
+
 TEST(EstimateDemand, TimeWeightedMeanAndPeak) {
   Graph g;
   const Node conv = fig1_conv2d();
@@ -63,9 +70,7 @@ TEST(EstimateDemand, UnprofiledDemandIsChargedAsTheWholeMachine) {
   // What the flag buys: admission charges an unprofiled candidate the full
   // machine, so it can only land alone (conservative), instead of packing
   // next to a saturating resident on the strength of a made-up width of 1.
-  AdmissionOptions opt;
-  opt.capacity_factor = 1.0;
-  const AdmissionController ctl(opt, 16);
+  const AdmissionController ctl({}, 16);
   EXPECT_DOUBLE_EQ(ctl.charged_width(WidthDemand{}), 1.0);  // trusted default
 
   WidthDemand unknown;
@@ -73,63 +78,54 @@ TEST(EstimateDemand, UnprofiledDemandIsChargedAsTheWholeMachine) {
   unknown.mean_width = 1.0;  // the old silently-neutral report
   EXPECT_DOUBLE_EQ(ctl.charged_width(unknown), 16.0);
 
-  WidthDemand wide;
-  wide.mean_width = 10.0;
-  // Pre-fix: 10 + 1 <= 16 admitted the stranger. Post-fix it waits for an
-  // empty machine (where admission always accepts).
-  EXPECT_FALSE(ctl.admit(unknown, {wide}));
-  EXPECT_TRUE(ctl.admit(unknown, {}));
+  // Pre-fix: 10 + 1 <= 20 admitted the stranger. Post-fix (10 + 16 > 20) it
+  // waits for an empty machine (where admission always accepts).
+  EXPECT_FALSE(ctl.admit(unknown, JobKind::kTraining, 1, {trainer(10.0)}));
+  EXPECT_TRUE(ctl.admit(unknown, JobKind::kTraining, 1, {}));
 }
 
 TEST(AdmissionController, EmptyMachineAlwaysAdmits) {
   const AdmissionController ctl({}, 4);
   WidthDemand monster;
   monster.mean_width = 1000.0;  // far wider than the machine
-  EXPECT_TRUE(ctl.admit(monster, {}));
+  EXPECT_TRUE(ctl.admit(monster, JobKind::kTraining, 1, {}));
 }
 
 TEST(AdmissionController, CapacityTest) {
   AdmissionOptions opt;
-  opt.capacity_factor = 1.0;
   opt.max_corun_jobs = 8;
   const AdmissionController ctl(opt, 16);
 
+  // Budget: 1.25 x 16 cores = 20 mean-width units.
   WidthDemand ten;
   ten.mean_width = 10.0;
-  WidthDemand six;
-  six.mean_width = 6.0;
-  WidthDemand seven;
-  seven.mean_width = 7.0;
-  EXPECT_TRUE(ctl.admit(six, {ten}));    // 10 + 6 <= 16
-  EXPECT_FALSE(ctl.admit(seven, {ten}));  // 10 + 7 > 16
-  EXPECT_DOUBLE_EQ(AdmissionController::total_mean_width({ten, six}), 16.0);
+  WidthDemand eleven;
+  eleven.mean_width = 11.0;
+  EXPECT_TRUE(ctl.admit(ten, JobKind::kTraining, 1, {trainer(10.0)}));
+  EXPECT_FALSE(ctl.admit(eleven, JobKind::kTraining, 1, {trainer(10.0)}));
 }
 
-TEST(AdmissionController, CapacityFactorOversubscribes) {
-  AdmissionOptions opt;
-  opt.capacity_factor = 1.5;
-  const AdmissionController ctl(opt, 16);
-  WidthDemand ten;
-  ten.mean_width = 10.0;
-  WidthDemand fourteen;
-  fourteen.mean_width = 14.0;
-  EXPECT_TRUE(ctl.admit(fourteen, {ten}));  // 24 <= 1.5 * 16
+TEST(AdmissionController, CapacityOversubscribesThePhysicalCores) {
+  const AdmissionController ctl({}, 16);
+  WidthDemand eight;
+  eight.mean_width = 8.0;
+  // 12 + 8 = 20 > 16 physical cores, but within 1.25 x 16.
+  EXPECT_TRUE(ctl.admit(eight, JobKind::kTraining, 1, {trainer(12.0)}));
 }
 
 TEST(AdmissionController, MaxCorunJobsCapBindsRegardlessOfWidth) {
   AdmissionOptions opt;
   opt.max_corun_jobs = 2;
-  opt.capacity_factor = 100.0;
   const AdmissionController ctl(opt, 64);
   WidthDemand tiny;
   tiny.mean_width = 0.1;
-  EXPECT_TRUE(ctl.admit(tiny, {tiny}));
-  EXPECT_FALSE(ctl.admit(tiny, {tiny, tiny}));
+  EXPECT_TRUE(ctl.admit(tiny, JobKind::kTraining, 1, {trainer(0.1)}));
+  EXPECT_FALSE(ctl.admit(tiny, JobKind::kTraining, 1,
+                         {trainer(0.1), trainer(0.1)}));
 }
 
 TEST(AdmissionController, InferenceAdmitsByFloorsNotBatchDemand) {
   AdmissionOptions opt;
-  opt.capacity_factor = 1.0;
   opt.max_corun_jobs = 8;
   const AdmissionController ctl(opt, 16);
 
@@ -137,7 +133,7 @@ TEST(AdmissionController, InferenceAdmitsByFloorsNotBatchDemand) {
   // rejected, but an inference candidate with a modest floor still fits:
   // its per-op priority displaces batch work at op boundaries.
   WidthDemand wide;
-  wide.mean_width = 15.0;
+  wide.mean_width = 17.0;
   const std::vector<ResidentDemand> residents = {
       {wide, JobKind::kTraining, 1}};
   WidthDemand more;
@@ -196,31 +192,11 @@ TEST(AdmissionController, OverwideFloorClampsToPhysicalCoresAtAdmission) {
   EXPECT_FALSE(ctl.admit(slim, JobKind::kInference, 1, poisoned));
 }
 
-TEST(AdmissionController, BatchOnlyFormMatchesClassAwareTrainingForm) {
-  AdmissionOptions opt;
-  opt.capacity_factor = 1.0;
-  const AdmissionController ctl(opt, 16);
-  WidthDemand ten;
-  ten.mean_width = 10.0;
-  WidthDemand six;
-  six.mean_width = 6.0;
-  WidthDemand seven;
-  seven.mean_width = 7.0;
-  const std::vector<ResidentDemand> residents = {
-      {ten, JobKind::kTraining, 1}};
-  EXPECT_EQ(ctl.admit(six, {ten}),
-            ctl.admit(six, JobKind::kTraining, 1, residents));
-  EXPECT_EQ(ctl.admit(seven, {ten}),
-            ctl.admit(seven, JobKind::kTraining, 1, residents));
-}
-
 TEST(AdmissionController, DegenerateOptionsAreSanitised) {
   AdmissionOptions opt;
   opt.max_corun_jobs = 0;
-  opt.capacity_factor = -1.0;
   const AdmissionController ctl(opt, 0);
   EXPECT_EQ(ctl.options().max_corun_jobs, 1u);
-  EXPECT_DOUBLE_EQ(ctl.options().capacity_factor, 1.0);
   EXPECT_EQ(ctl.machine_cores(), 1u);
 }
 

@@ -301,6 +301,36 @@ TEST(ClusterService, WaitReturnsTerminalFleetRecords) {
   EXPECT_THROW((void)cluster.wait(999), std::out_of_range);
 }
 
+TEST(ClusterService, LiveInferenceFleetRecordCarriesShardPercentiles) {
+  // Mid-replay, a still-running inference job's fleet record must carry
+  // the exact p50/p99 its shard's own snapshot books from the latency
+  // series — the fleet view is not a stale or unbooked copy.
+  ClusterService cluster(MachineSpec::knl(), sim_virtual_options(2));
+  for (const JobSpec& spec : make_script(4)) cluster.submit(spec);
+  bool checked = false;
+  for (int cycle = 0; cycle < 10000 && !checked; ++cycle) {
+    if (!cluster.run_pump()) continue;
+    const FleetSnapshot snap = cluster.snapshot();
+    for (const FleetJob& fj : snap.jobs) {
+      if (fj.record.kind != JobKind::kInference ||
+          fj.record.state != JobState::kRunning || fj.record.steps_done < 3)
+        continue;
+      const std::vector<JobRecord>& shard_jobs = snap.shards.at(fj.shard).jobs;
+      const auto it =
+          std::find_if(shard_jobs.begin(), shard_jobs.end(),
+                       [&](const JobRecord& r) { return r.id == fj.local_id; });
+      ASSERT_NE(it, shard_jobs.end());
+      EXPECT_GE(fj.record.p50_latency_ms, 0.0);
+      EXPECT_GE(fj.record.p99_latency_ms, fj.record.p50_latency_ms);
+      EXPECT_DOUBLE_EQ(fj.record.p50_latency_ms, it->p50_latency_ms);
+      EXPECT_DOUBLE_EQ(fj.record.p99_latency_ms, it->p99_latency_ms);
+      checked = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(checked) << "no inference job was observed running";
+}
+
 TEST(ClusterService, FleetCountsReconcileWithShardLedgers) {
   const auto script = make_script(/*training_jobs=*/7);
   ClusterService cluster(MachineSpec::knl(), sim_virtual_options(3));

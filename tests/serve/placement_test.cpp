@@ -104,10 +104,9 @@ TEST(AnnealPlace, NeverWorsensTheObjective) {
     const double before = placement_objective(
         loads_with_assignment(base, widths, seed_assignment));
 
-    PlacementOptions opt;
-    opt.anneal_seed = 0x5eedULL + static_cast<std::uint64_t>(trial);
-    opt.anneal_temp = 2.0;  // hot: plenty of uphill moves get accepted
-    const auto improved = anneal_place(widths, base, seed_assignment, opt);
+    const auto improved =
+        anneal_place(widths, base, seed_assignment,
+                     0x5eedULL + static_cast<std::uint64_t>(trial));
     const double after =
         placement_objective(loads_with_assignment(base, widths, improved));
     EXPECT_LE(after, before) << "trial " << trial;
@@ -124,8 +123,7 @@ TEST(AnnealPlace, FindsTheBalanceGreedyMisses) {
   std::vector<std::size_t> awful(widths.size(), 0);
   const double before =
       placement_objective(loads_with_assignment(base, widths, awful));
-  PlacementOptions opt;
-  const auto improved = anneal_place(widths, base, awful, opt);
+  const auto improved = anneal_place(widths, base, awful, 0x5e7a11ULL);
   const double after =
       placement_objective(loads_with_assignment(base, widths, improved));
   EXPECT_LT(after, before);
@@ -138,32 +136,27 @@ TEST(AnnealPlace, DeterministicForAFixedSeed) {
   const std::vector<double> widths = {7.0, 3.0, 5.0, 1.0, 9.0, 2.0};
   const auto base = empty_shards(3, 16);
   const auto seed_assignment = greedy_place(widths, base);
-  PlacementOptions opt;
-  opt.anneal_seed = 0xFEEDULL;
-  const auto a = anneal_place(widths, base, seed_assignment, opt);
-  const auto b = anneal_place(widths, base, seed_assignment, opt);
+  const auto a = anneal_place(widths, base, seed_assignment, 0xFEEDULL);
+  const auto b = anneal_place(widths, base, seed_assignment, 0xFEEDULL);
   EXPECT_EQ(a, b);
   // A different seed is allowed to find a different (equally good or
   // better) assignment — the cluster mixes a batch counter in for exactly
   // this reason. Just assert it still never worsens.
-  opt.anneal_seed = 0xBEEFULL;
-  const auto c = anneal_place(widths, base, seed_assignment, opt);
+  const auto c = anneal_place(widths, base, seed_assignment, 0xBEEFULL);
   EXPECT_LE(placement_objective(loads_with_assignment(base, widths, c)),
             placement_objective(
                 loads_with_assignment(base, widths, seed_assignment)));
 }
 
 TEST(AnnealPlace, SingleShardAndEmptyBatchAreNoOps) {
-  PlacementOptions opt;
-  const auto one = anneal_place({3.0, 4.0}, empty_shards(1, 8), {0, 0}, opt);
+  const auto one = anneal_place({3.0, 4.0}, empty_shards(1, 8), {0, 0}, 1);
   EXPECT_EQ(one, (std::vector<std::size_t>{0, 0}));
-  const auto none = anneal_place({}, empty_shards(3, 8), {}, opt);
+  const auto none = anneal_place({}, empty_shards(3, 8), {}, 1);
   EXPECT_TRUE(none.empty());
 }
 
 TEST(AnnealPlace, RejectsMismatchedAssignment) {
-  PlacementOptions opt;
-  EXPECT_THROW(anneal_place({1.0, 2.0}, empty_shards(2, 8), {0}, opt),
+  EXPECT_THROW(anneal_place({1.0, 2.0}, empty_shards(2, 8), {0}, 1),
                std::invalid_argument);
 }
 

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -58,7 +57,7 @@ TEST(LaunchStressTest, OversubscribedInlineWidth1LaunchesAllComplete) {
   std::atomic<std::uint64_t> work{0};
   Barrier done;
   for (int j = 0; j < kJobs; ++j) {
-    pad.launch([&] {
+    pad.launch_on(static_cast<std::size_t>(j) % launchers, [&] {
       inline1.parallel_for(kIters, [&](std::size_t b, std::size_t e,
                                        std::size_t) {
         work.fetch_add(e - b, std::memory_order_relaxed);
@@ -110,13 +109,6 @@ TEST(LaunchStressTest, LaneTargetedLaunchesRunInOrderOnOneThread) {
   }
   // Distinct lanes really are distinct workers.
   EXPECT_NE(runners[0].front(), runners[1].front());
-  // A launcher drops its load only after the job returns, so the last
-  // done.arrive() can run before the count settles: wait for it, bounded.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (pad.in_flight() != 0 && std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_EQ(pad.in_flight(), 0u);
 }
 
 TEST(LaunchStressTest, SlotTagsKeepLiveTeamsDistinct) {
@@ -152,7 +144,7 @@ TEST(LaunchStressTest, ConcurrentSlotTaggedCorunSlotsNeverDeadlock) {
   Barrier done;
   for (int r = 0; r < kRounds; ++r) {
     for (std::size_t s = 0; s < kSlots; ++s) {
-      pad.launch([&, s] {
+      pad.launch_on(s % pad.width(), [&, s] {
         ThreadTeam& team = pool.team_pinned(2, span, s);
         team.parallel_for(kIters, [&](std::size_t b, std::size_t e,
                                       std::size_t) {
