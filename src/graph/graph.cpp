@@ -2,6 +2,7 @@
 
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 namespace opsched {
 
@@ -62,6 +63,26 @@ std::size_t Graph::count_kind(OpKind kind) const noexcept {
   for (const Node& n : nodes_)
     if (n.kind == kind) ++c;
   return c;
+}
+
+bool is_batch_one(const Graph& g) {
+  const auto one = [](const TensorShape& s) {
+    return s.rank() >= 1 && s[0] == 1;
+  };
+  for (const Node& n : g.nodes())
+    if (!one(n.input_shape) || !one(n.output_shape)) return false;
+  return true;
+}
+
+Graph rebatch(const Graph& g, std::int64_t batch) {
+  if (batch <= 0) throw std::invalid_argument("rebatch: non-positive batch");
+  Graph out;
+  for (Node n : g.nodes()) {
+    n.input_shape = n.input_shape.scaled_dim0(batch);
+    n.output_shape = n.output_shape.scaled_dim0(batch);
+    out.add_node(std::move(n));
+  }
+  return out;
 }
 
 ReadyTracker::ReadyTracker(const Graph& graph)

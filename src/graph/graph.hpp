@@ -64,6 +64,16 @@ class Graph {
   std::vector<std::vector<NodeId>> succ_;
 };
 
+/// True when every node's input and output shape has rank >= 1 and dim 0
+/// == 1: a graph that serves one request, which rebatch() can scale to b.
+bool is_batch_one(const Graph& g);
+
+/// `g` with dim 0 of every node's input and output shape multiplied by
+/// `batch`; aux shapes (filters, weights) and the wiring are unchanged.
+/// For a zoo forward view at batch 1 this is the view at `batch`, node for
+/// node. Throws std::invalid_argument on a non-positive batch.
+Graph rebatch(const Graph& g, std::int64_t batch);
+
 /// Tracks which nodes are ready as their dependencies resolve. Used by every
 /// executor (FIFO baseline and the adaptive scheduler alike).
 class ReadyTracker {

@@ -21,6 +21,14 @@ std::int64_t TensorShape::dim(std::size_t i) const {
   return dims_[i];
 }
 
+TensorShape TensorShape::scaled_dim0(std::int64_t factor) const {
+  if (factor < 0)
+    throw std::invalid_argument("TensorShape::scaled_dim0: negative factor");
+  TensorShape out = *this;
+  if (rank_ > 0) out.dims_[0] *= factor;
+  return out;
+}
+
 std::int64_t TensorShape::elements() const noexcept {
   std::int64_t n = 1;
   for (std::size_t i = 0; i < rank_; ++i) n *= dims_[i];

@@ -25,6 +25,10 @@ class TensorShape {
   /// Bracket access without bounds check (hot paths).
   std::int64_t operator[](std::size_t i) const noexcept { return dims_[i]; }
 
+  /// This shape with dim 0 multiplied by `factor` (rank-0 shapes are
+  /// returned unchanged). Throws std::invalid_argument on a negative factor.
+  TensorShape scaled_dim0(std::int64_t factor) const;
+
   /// Product of all dimensions (1 for rank-0 scalars).
   std::int64_t elements() const noexcept;
   /// Bytes assuming float32 payloads (the paper's training workloads).

@@ -68,8 +68,10 @@ struct JobSpec {
   /// Training: the job completes after this many co-located steps.
   /// Ignored for inference jobs, whose budget is `arrivals.size()`.
   int steps = 1;
-  /// Inference only: request arrival offsets in ms AFTER submit, ascending
-  /// (one forward step serves one request, FIFO). Must be non-empty for
+  /// Inference only: request arrival offsets in ms AFTER submit, ascending.
+  /// Requests are served FIFO; one forward step serves every arrived
+  /// request, up to 16, when the graph is batch-one (see
+  /// SchedulerService), and one request otherwise. Must be non-empty for
   /// kInference; must be empty for kTraining.
   std::vector<double> arrivals;
   /// Inference only: per-request latency SLO in service-clock ms
@@ -113,7 +115,8 @@ struct JobRecord {
   JobState state = JobState::kQueued;
   JobKind kind = JobKind::kTraining;
   /// Training: steps of the budget. Inference: requests (steps_total is the
-  /// arrival-trace length; one co-located step serves one request).
+  /// arrival-trace length; steps_done counts requests served, and one
+  /// co-located step serves up to 16 of them).
   int steps_total = 0;
   int steps_done = 0;
   double weight = 1.0;
@@ -129,21 +132,24 @@ struct JobRecord {
   double admit_ms = -1.0;   // first transition to kRunning
   double finish_ms = -1.0;  // transition to a terminal state
 
-  /// Profiling cost paid at this job's admission (0 when every
-  /// (kind, shape) key was already warm in the PerfDatabase).
+  /// Profiling cost paid at this job's admission, plus at the first step at
+  /// each batch size of an inference job (0 when every (kind, shape) key
+  /// was already warm in the PerfDatabase).
   double profile_ms = 0.0;
   std::size_t profiled_ops = 0;
 
   /// Machine time this job's ops consumed across all its steps (the
-  /// fairness basis), and the sum of its per-step makespans.
+  /// fairness basis), and the sum of its per-step makespans (once per step,
+  /// however many requests the step served).
   double service_ms = 0.0;
   double run_ms = 0.0;
   std::size_t corun_launches = 0;
   std::size_t overlay_launches = 0;
 
-  /// Host substrate: the job's deterministic per-step checksum (every step
-  /// must produce the same value; the service throws if one drifts). 0.0
-  /// on the simulated substrate, which never touches tensor values.
+  /// Host substrate: the checksum of the job's first step. Every later step
+  /// must reproduce the checksum of the job's first step at the same batch
+  /// size; the service throws if one drifts. 0.0 on the simulated
+  /// substrate, which never touches tensor values.
   double checksum = 0.0;
 
   // -- inference (SLO) metrics; zero/negative for training jobs -----------

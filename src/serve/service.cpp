@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "graph/graph.hpp"
 #include "util/clock.hpp"
 #include "util/stats.hpp"
 
@@ -63,6 +64,9 @@ void SchedulerService::init_telemetry() {
     telem_.step_ms = reg.histogram(qual("serve_step_ms"));
     telem_.request_latency_ms =
         reg.histogram(qual("serve_request_latency_ms"));
+    telem_.batch_requests = reg.histogram(
+        qual("serve_batch_requests"),
+        {1.0, 2.0, 4.0, 8.0, static_cast<double>(kMaxBatchRequests)});
   }
   if (options_.trace != nullptr) {
     const std::string who = options_.instance.empty()
@@ -121,6 +125,8 @@ JobId SchedulerService::submit(JobSpec spec) {
   // machine can satisfy.
   if (spec.kind == JobKind::kInference)
     spec.width_floor = admission_.clamped_floor(spec.width_floor);
+  const bool batchable =
+      spec.kind == JobKind::kInference && is_batch_one(spec.graph);
 
   auto lk = pump_.lock();
   if (pump_.stopping())
@@ -130,6 +136,8 @@ JobId SchedulerService::submit(JobSpec spec) {
   const JobId id = rec.id;
   auto job = std::make_unique<Job>();
   job->spec = std::move(spec);
+  job->batchable = batchable;
+  job->batches.resize(batchable ? kBatchSizes : 1);
   jobs_.emplace(id, std::move(job));
 
   // Keep the wait queue sorted by (inference first, priority desc, submit
@@ -214,7 +222,7 @@ WidthDemand SchedulerService::demand_of(JobId id) const {
   if (it == jobs_.end())
     throw std::out_of_range("SchedulerService::demand_of: unknown job " +
                             std::to_string(id));
-  if (!it->second->demand_known) {
+  if (!it->second->demand_known()) {
     WidthDemand unknown;
     unknown.profiled = false;
     return unknown;
@@ -256,6 +264,22 @@ std::vector<JobId> SchedulerService::steppable_locked(double now) const {
     }
   }
   return out;
+}
+
+int SchedulerService::requests_due_locked(JobId id, double now) const {
+  const Job& job = *jobs_.at(id);
+  if (job.spec.kind != JobKind::kInference) return 1;
+  const JobRecord& rec = ledger_.at(id);
+  const int cap = job.batchable ? kMaxBatchRequests : 1;
+  const std::vector<double>& arrivals = job.spec.arrivals;
+  auto next = static_cast<std::size_t>(rec.steps_done);
+  int due = 0;
+  while (due < cap && next < arrivals.size() &&
+         rec.submit_ms + arrivals[next] <= now) {
+    ++due;
+    ++next;
+  }
+  return due;
 }
 
 double SchedulerService::next_arrival_ms_locked() const {
@@ -317,7 +341,10 @@ void SchedulerService::finish_job_locked(JobId id, JobState terminal) {
   // record is the only thing a terminal job still owes anyone, so a long-
   // running service's footprint tracks the RESIDENT set, not every job
   // ever served.
-  job.program.reset();
+  for (Job::Batch& b : job.batches) {
+    b.program.reset();
+    b.graph.reset();
+  }
   job.spec.graph = Graph();
   job.latencies = std::vector<double>();
   pump_.notify();
@@ -362,7 +389,7 @@ void SchedulerService::admission_pass(std::unique_lock<std::mutex>& lk) {
         continue;
       }
 
-      if (!job.demand_known) {
+      if (!job.demand_known()) {
         // Lazy profiling at first admission consideration: warm
         // (kind, shape) keys in the shared PerfDatabase are reused, so
         // only genuinely new shapes cost hill-climb samples.
@@ -372,16 +399,7 @@ void SchedulerService::admission_pass(std::unique_lock<std::mutex>& lk) {
         ProfilingReport report;
         WidthDemand demand;
         try {
-          if (options_.substrate == Substrate::kHost) {
-            if (job.program == nullptr) {
-              job.program = std::make_unique<HostGraphProgram>(
-                  job.spec.graph, job.spec.seed, /*tenant=*/0);
-            }
-            report = runtime_.profile_host_multi({job.program.get()},
-                                                 kProfileRepeats);
-          } else {
-            report = runtime_.profile_multi({&job.spec.graph});
-          }
+          report = profile_batch(job, 0);
           demand = estimate_demand(job.spec.graph, runtime_.database());
         } catch (...) {
           // pump_cycle() must exit with the lock held whatever happens in the
@@ -399,7 +417,7 @@ void SchedulerService::admission_pass(std::unique_lock<std::mutex>& lk) {
                                       : wall_time_ms() - t0;
         lk.lock();
         job.demand = demand;
-        job.demand_known = true;
+        job.batches[0].profiled = true;
         JobRecord& rec = ledger_.at(id);
         rec.profile_ms += profile_ms;
         rec.profiled_ops += report.unique_ops;
@@ -453,17 +471,52 @@ void SchedulerService::admission_pass(std::unique_lock<std::mutex>& lk) {
   }
 }
 
+ProfilingReport SchedulerService::profile_batch(Job& job, std::size_t b) {
+  Job::Batch& batch = job.batches[b];
+  if (options_.substrate == Substrate::kSimulated)
+    return runtime_.profile_multi({&job.graph_at(b)});
+  if (batch.program == nullptr) {
+    batch.program = std::make_unique<HostGraphProgram>(
+        job.graph_at(b), job.spec.seed, /*tenant=*/0);
+  }
+  return runtime_.profile_host_multi({batch.program.get()}, kProfileRepeats);
+}
+
 void SchedulerService::run_one_step(std::unique_lock<std::mutex>& lk) {
   // Only STEPPABLE tenants join this step: inference tenants between
   // requests sit it out (open loop — their next request has not arrived),
   // so the step's cores go to tenants with actual work.
-  const std::vector<JobId> stepped = steppable_locked(now_locked());
+  const double step_start = now_locked();
+  const std::vector<JobId> stepped = steppable_locked(step_start);
+  const std::size_t n = stepped.size();
+  // One entry per stepped tenant.
+  struct Slot {
+    Job* job = nullptr;
+    /// Requests this step serves (1 for a training job).
+    int requests = 1;
+    /// log2 of the batch size the tenant's graph runs at: the next power
+    /// of two at or above `requests`.
+    std::size_t batch = 0;
+    /// Set when this step is the batch size's first use and profiled it.
+    std::optional<ProfilingReport> profiled;
+    double profile_ms = 0.0;
+  };
+  std::vector<Slot> slots(n);
   TenantSet set;
   set.preserve_service = true;
   std::vector<const Graph*> graphs;
-  std::vector<HostGraphProgram*> programs;
-  for (const JobId id : stepped) {
-    const Job& job = *jobs_.at(id);
+  for (std::size_t t = 0; t < n; ++t) {
+    const JobId id = stepped[t];
+    Slot& slot = slots[t];
+    slot.job = jobs_.at(id).get();
+    slot.requests = requests_due_locked(id, step_start);
+    while ((1 << slot.batch) < slot.requests) ++slot.batch;
+    Job::Batch& b = slot.job->batches[slot.batch];
+    if (slot.batch > 0 && b.graph == nullptr) {
+      b.graph = std::make_unique<Graph>(
+          rebatch(slot.job->spec.graph, std::int64_t{1} << slot.batch));
+    }
+    graphs.push_back(&slot.job->graph_at(slot.batch));
     set.ids.push_back(static_cast<std::size_t>(id));
     set.weights.push_back(ledger_.at(id).weight);
     // Inference tenants are latency-critical in the core admission walk:
@@ -472,21 +525,31 @@ void SchedulerService::run_one_step(std::unique_lock<std::mutex>& lk) {
     // validated one — never wider than the machine, so the reservation is
     // always satisfiable.
     set.floors.push_back(ledger_.at(id).width_floor);
-    graphs.push_back(&job.spec.graph);
-    if (options_.substrate == Substrate::kHost)
-      programs.push_back(job.program.get());
   }
   // Consolidation decisions are built over the union of the stepped
-  // graphs, so a different tenant subset forces a rebuild even when the
-  // resident set itself is unchanged.
-  const bool rebuild = decisions_stale_ || stepped != last_stepped_;
+  // graphs, so a different tenant subset or batch size forces a rebuild
+  // even when the resident set itself is unchanged.
+  bool rebuild = decisions_stale_ || stepped != last_stepped_ ||
+                 graphs != last_graphs_;
   last_stepped_ = stepped;
+  last_graphs_ = graphs;
   decisions_stale_ = false;
-  const double step_start = now_locked();
 
   lk.unlock();
   std::vector<StepResult> results;
   try {
+    std::vector<HostGraphProgram*> programs;
+    for (Slot& slot : slots) {
+      // A batch size's first use profiles its new shapes (booked below).
+      if (!slot.job->batches[slot.batch].profiled) {
+        const double t0 = wall_time_ms();
+        slot.profiled = profile_batch(*slot.job, slot.batch);
+        slot.profile_ms = wall_time_ms() - t0;
+        rebuild = true;  // profiling built decisions over this graph alone
+      }
+      if (options_.substrate == Substrate::kHost)
+        programs.push_back(slot.job->batches[slot.batch].program.get());
+    }
     if (rebuild) runtime_.rebuild_decisions(graphs);
     results = options_.substrate == Substrate::kHost
                   ? runtime_.run_step_multi_host(programs, set)
@@ -514,6 +577,14 @@ void SchedulerService::run_one_step(std::unique_lock<std::mutex>& lk) {
   if (options_.trace != nullptr) {
     obs::TraceSpan span;
     span.name = "step " + std::to_string(steps_run_);
+    // The largest batch size an inference tenant ran in this step.
+    std::optional<std::size_t> widest;
+    for (const Slot& slot : slots) {
+      if (slot.job->spec.kind == JobKind::kInference)
+        widest = std::max(widest.value_or(0), slot.batch);
+    }
+    if (widest.has_value())
+      span.name += " batch " + std::to_string(1 << *widest);
     span.cat = "step";
     span.pid = options_.trace_pid;
     span.tid = 0;
@@ -522,20 +593,44 @@ void SchedulerService::run_one_step(std::unique_lock<std::mutex>& lk) {
     options_.trace->span(std::move(span));
   }
   const double now = now_locked();
-  for (std::size_t t = 0; t < stepped.size(); ++t) {
+  for (std::size_t t = 0; t < n; ++t) {
     const StepResult& r = results[t];
-    Job& job = *jobs_.at(stepped[t]);
+    const Slot& slot = slots[t];
+    Job& job = *slot.job;
+    Job::Batch& b = job.batches[slot.batch];
     JobRecord& rec = ledger_.at(stepped[t]);
-    ++rec.steps_done;
+    if (slot.profiled.has_value()) {
+      b.profiled = true;
+      // The virtual clock books profiling as free, as at admission.
+      if (options_.clock == ClockMode::kWall) rec.profile_ms += slot.profile_ms;
+      rec.profiled_ops += slot.profiled->unique_ops;
+    }
+    if (options_.substrate == Substrate::kHost) {
+      if (rec.steps_done == 0) rec.checksum = r.checksum;
+      if (!b.checksum.has_value()) {
+        b.checksum = r.checksum;
+      } else if (r.checksum != *b.checksum) {
+        throw std::logic_error(
+            "SchedulerService: job " + std::to_string(stepped[t]) +
+            " step checksum drifted — co-run corruption");
+      }
+    }
     rec.service_ms += r.service_ms;
     rec.run_ms += r.time_ms;
     rec.corun_launches += r.corun_launches;
     rec.overlay_launches += r.overlay_launches;
     stepped_service_ms_ += r.service_ms;
-    if (job.spec.kind == JobKind::kInference) {
-      // This step served the job's oldest pending request (FIFO, one per
-      // step): book its arrival -> completion latency against the SLO.
-      const auto idx = static_cast<std::size_t>(rec.steps_done - 1);
+    if (job.spec.kind != JobKind::kInference) {
+      ++rec.steps_done;
+      continue;
+    }
+    if (telem_.batch_requests != nullptr)
+      telem_.batch_requests->observe(slot.requests);
+    // This step served the job's `slot.requests` oldest pending requests
+    // (FIFO): book each one's arrival -> completion latency against the
+    // SLO.
+    for (int k = 0; k < slot.requests; ++k) {
+      const auto idx = static_cast<std::size_t>(rec.steps_done++);
       const double arrival = rec.submit_ms + job.spec.arrivals[idx];
       const double latency = std::max(0.0, now - arrival);
       job.latencies.push_back(latency);
@@ -557,15 +652,6 @@ void SchedulerService::run_one_step(std::unique_lock<std::mutex>& lk) {
         options_.trace->span(std::move(span));
       }
       rec.max_latency_ms = std::max(rec.max_latency_ms, latency);
-    }
-    if (options_.substrate == Substrate::kHost) {
-      if (rec.steps_done == 1) {
-        rec.checksum = r.checksum;
-      } else if (r.checksum != rec.checksum) {
-        throw std::logic_error(
-            "SchedulerService: job " + std::to_string(stepped[t]) +
-            " step checksum drifted — co-run corruption");
-      }
     }
   }
   for (const JobId id : stepped) {

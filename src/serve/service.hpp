@@ -20,8 +20,12 @@
 //     learned state and fairness deficits follow the job, and are retired
 //     with it;
 //   - on the host substrate every job's per-step checksum is verified
-//     bit-identical across its steps — co-runners arriving or leaving
-//     must never change a job's numerics.
+//     bit-identical across its steps at the same batch size — co-runners
+//     arriving or leaving must never change a job's numerics;
+//   - an inference tenant on a batch-one graph serves every arrived,
+//     unserved request in one step, up to kMaxBatchRequests, on its graph
+//     rebatched to the next power of two; each request is still booked on
+//     its own (arrival, latency, SLO hit).
 //
 // Threading: submit/cancel/snapshot/wait/drain are safe from any thread.
 // The scheduling loop runs either on a background service thread
@@ -105,6 +109,15 @@ inline constexpr double kMaxIdleWaitMs = 50.0;
 /// clock, so they live in a separate trace process: pid + this offset.
 inline constexpr std::uint32_t kHostTracePidOffset = 1000;
 
+/// The most arrived requests of one inference tenant that one co-located
+/// step serves. A step runs the tenant's graph rebatched to the next power
+/// of two (1, 2, 4, 8 or 16): kBatchSizes graph variants per job at most.
+/// Only batch-one graphs batch; any other inference graph serves one
+/// request per step.
+inline constexpr int kMaxBatchRequests = 16;
+inline constexpr std::size_t kBatchSizes = 5;
+static_assert(kMaxBatchRequests == 1 << (kBatchSizes - 1));
+
 /// Point-in-time copy of the service's books (see JobRecord for the
 /// per-job fields).
 struct ServiceSnapshot {
@@ -139,9 +152,9 @@ struct ServiceSnapshot {
 /// background thread if running.
 ///
 /// On the host substrate a job whose step checksum ever differs from its
-/// first step's fails the cycle with std::logic_error — the cross-job
-/// corruption detector. A background loop parks on it and drain()/wait()
-/// rethrow it.
+/// first step's at the same batch size fails the cycle with
+/// std::logic_error — the cross-job corruption detector. A background loop
+/// parks on it and drain()/wait() rethrow it.
 class SchedulerService : private Pump::Owner {
  public:
   explicit SchedulerService(Runtime& runtime, ServiceOptions options = {});
@@ -228,11 +241,29 @@ class SchedulerService : private Pump::Owner {
   /// Service-private per-job state the ledger record does not carry.
   struct Job {
     JobSpec spec;
-    /// Host substrate: the bound program, created at first admission
-    /// consideration (stable address — graphs/programs are referenced by
-    /// the step while the lock is released).
-    std::unique_ptr<HostGraphProgram> program;
-    bool demand_known = false;
+    /// The job's step graph at one batch size, and what stepping it needs.
+    /// Graphs and programs have stable addresses: the step references them
+    /// while the lock is released.
+    struct Batch {
+      /// rebatch(spec.graph, b) for b > 1, built the first time a step
+      /// needs it; null at b == 1, which steps spec.graph itself.
+      std::unique_ptr<Graph> graph;
+      /// Host substrate: the program bound with the job's seed, created
+      /// when the batch size is first profiled.
+      std::unique_ptr<HostGraphProgram> program;
+      /// The graph's (kind, shape) keys are in the PerfDatabase. At b == 1
+      /// this happens at first admission consideration.
+      bool profiled = false;
+      /// Host substrate: the checksum of the job's first step at this batch
+      /// size, which every later step at it must reproduce.
+      std::optional<double> checksum;
+    };
+    /// Indexed by log2 of the batch size: 1, 2, 4, 8, 16. Sized at submit:
+    /// kBatchSizes entries for a batchable job, one for any other.
+    std::vector<Batch> batches;
+    /// Inference on a batch-one graph (graph/graph.hpp is_batch_one): one
+    /// step may serve several arrived requests. Set at submit.
+    bool batchable = false;
     WidthDemand demand;
     /// Inference: latency of every request served so far (the percentile
     /// basis, see book_latency_percentiles_locked). Freed with the rest of
@@ -240,6 +271,13 @@ class SchedulerService : private Pump::Owner {
     std::vector<double> latencies;
     bool cancel_requested = false;
     bool retired = false;  // runtime.retire_tenant(id) already called
+
+    /// The width demand was profiled (batch 1 is profiled at first
+    /// admission consideration).
+    bool demand_known() const { return batches[0].profiled; }
+    const Graph& graph_at(std::size_t b) const {
+      return b == 0 ? spec.graph : *batches[b].graph;
+    }
   };
 
   /// One loop iteration (the Pump's pump_cycle): apply cancellations, run
@@ -254,6 +292,11 @@ class SchedulerService : private Pump::Owner {
   void apply_cancels_locked();
   void admission_pass(std::unique_lock<std::mutex>& lk);
   void run_one_step(std::unique_lock<std::mutex>& lk);
+  /// Profiles `job`'s step graph at batch index `b` (creating its host
+  /// program first on the host substrate). Called with the lock RELEASED:
+  /// only the loop-driving thread touches the batches of a job that is
+  /// being admitted or stepped. The batch's graph must already exist.
+  ProfilingReport profile_batch(Job& job, std::size_t b);
   void finish_job_locked(JobId id, JobState terminal);
   /// Books an inference job's p50/p99 latency into `rec` from its exact
   /// latency series. Done when a record leaves the service and at the
@@ -267,6 +310,10 @@ class SchedulerService : private Pump::Owner {
   /// every training job, plus inference jobs with an arrived-but-unserved
   /// request (open-loop tenants between requests sit the step out).
   std::vector<JobId> steppable_locked(double now) const;
+  /// Requests the next step serves for `id`: 1 for a training job; for an
+  /// inference job its arrived-but-unserved requests at clock `now`, at
+  /// most kMaxBatchRequests on a batchable job and 1 otherwise.
+  int requests_due_locked(JobId id, double now) const;
   /// Earliest unarrived request among resident inference jobs (service-
   /// clock ms); +infinity when none is pending.
   double next_arrival_ms_locked() const;
@@ -294,6 +341,7 @@ class SchedulerService : private Pump::Owner {
     obs::Gauge* resident = nullptr;
     obs::Histogram* step_ms = nullptr;
     obs::Histogram* request_latency_ms = nullptr;
+    obs::Histogram* batch_requests = nullptr;
   };
   /// Registers the serve_* cells (and attaches host-executor telemetry on
   /// the host substrate). Called from the constructor.
@@ -321,10 +369,12 @@ class SchedulerService : private Pump::Owner {
   /// Resident set changed (or a candidate was profiled, which clobbers the
   /// controller's decisions): rebuild decisions before the next step.
   bool decisions_stale_ = false;
-  /// The tenant subset the last step actually ran (consolidation decisions
-  /// are built over the UNION of the stepped graphs, so a different subset
+  /// The tenant subset the last step actually ran, and the graph each one
+  /// stepped (consolidation decisions are built over the UNION of the
+  /// stepped graphs, so a different subset or a different batch size
   /// forces a rebuild even when the resident set is unchanged).
   std::vector<JobId> last_stepped_;
+  std::vector<const Graph*> last_graphs_;
   /// The virtual service clock (kVirtual mode only); ms since construction.
   double vnow_ = 0.0;
   std::size_t steps_run_ = 0;

@@ -5,6 +5,8 @@
 #include <algorithm>
 
 #include "graph/builder.hpp"
+#include "models/zoo.hpp"
+#include "testing/graph_fuzz.hpp"
 
 namespace opsched {
 namespace {
@@ -181,6 +183,53 @@ TEST(GraphBuilder, BuildsWiredNodes) {
   EXPECT_EQ(g.node(conv).aux_shape, (TensorShape{3, 3, 3, 8}));
   EXPECT_EQ(g.node(relu).input_shape, g.node(relu).output_shape);
   EXPECT_EQ(g.node(relu).inputs[0], conv);
+}
+
+TEST(Rebatch, ScalesDimZeroOfInputAndOutputOnly) {
+  Graph g;
+  Node conv = simple(OpKind::kConv2D);
+  conv.input_shape = TensorShape{1, 4, 4, 3};
+  conv.aux_shape = TensorShape{3, 3, 3, 8};
+  conv.output_shape = TensorShape{1, 4, 4, 8};
+  const NodeId a = g.add_node(conv);
+  g.add_node(simple(OpKind::kRelu, {a}));
+  const Graph b = rebatch(g, 4);
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_EQ(b.node(0).input_shape, (TensorShape{4, 4, 4, 3}));
+  EXPECT_EQ(b.node(0).aux_shape, (TensorShape{3, 3, 3, 8}));
+  EXPECT_EQ(b.node(0).output_shape, (TensorShape{4, 4, 4, 8}));
+  EXPECT_EQ(b.node(1).input_shape, (TensorShape{16, 4}));
+  EXPECT_EQ(b.successors(0), g.successors(0));
+  EXPECT_FALSE(is_batch_one(g));  // the relu's dim 0 is 4
+  EXPECT_THROW(rebatch(g, 0), std::invalid_argument);
+}
+
+TEST(Rebatch, ZooForwardAtBatchOneRebatchesToEveryBatch) {
+  for (const std::string& name : models::zoo_names()) {
+    const Graph& one = models::zoo_forward(name, 1);
+    EXPECT_TRUE(is_batch_one(one)) << name;
+    for (const std::int64_t b : {2, 3, 4, 8, 16}) {
+      SCOPED_TRACE(name + " at batch " + std::to_string(b));
+      const Graph scaled = rebatch(one, b);
+      const Graph& want = models::zoo_forward(name, b);
+      EXPECT_FALSE(is_batch_one(want));
+      ASSERT_EQ(scaled.size(), want.size());
+      for (NodeId id = 0; id < want.size(); ++id) {
+        const Node& x = scaled.node(id);
+        const Node& y = want.node(id);
+        ASSERT_EQ(x.kind, y.kind) << "node " << id;
+        ASSERT_EQ(x.inputs, y.inputs) << "node " << id;
+        ASSERT_EQ(x.input_shape, y.input_shape) << "node " << id;
+        ASSERT_EQ(x.aux_shape, y.aux_shape) << "node " << id;
+        ASSERT_EQ(x.output_shape, y.output_shape) << "node " << id;
+      }
+    }
+  }
+}
+
+TEST(Rebatch, FuzzGraphsAreNotBatchOne) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed)
+    EXPECT_FALSE(is_batch_one(testing::fuzz_graph(seed))) << seed;
 }
 
 }  // namespace

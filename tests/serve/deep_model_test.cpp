@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/runtime.hpp"
+#include "graph/graph.hpp"
 #include "models/zoo.hpp"
 
 namespace opsched::serve {
@@ -100,6 +101,47 @@ TEST(ServeDeepModel, DeepJobsQueueWhenCorunCapReached) {
   EXPECT_EQ(done.jobs[1].steps_done, 1);
   // b was admitted only after a finished.
   EXPECT_GE(done.jobs[1].admit_ms, done.jobs[0].admit_ms);
+}
+
+double reference_checksum(const Graph& g, std::uint64_t seed) {
+  HostGraphProgram ref(g, seed, /*tenant=*/0);
+  for (const Node& node : g.nodes()) ref.run_node_reference(node.id);
+  return ref.step_checksum();
+}
+
+TEST(ServeDeepModel, BatchedHostStepMatchesTheZooViewAtThatBatch) {
+  // Two bursts on the batch-one resnet50_host forward view, co-located in
+  // one host step: 2 requests run the view rebatched to 2, 3 requests the
+  // view rebatched to 4. Each program is bound with the job's seed, so its
+  // checksum is the serial reference of zoo_forward(m, b) at that seed.
+  Runtime rt(MachineSpec::knl());
+  SchedulerService service(rt, host_options());
+  const auto burst = [&](const char* name, std::size_t requests,
+                         std::uint64_t seed) {
+    JobSpec spec;
+    spec.name = name;
+    spec.kind = JobKind::kInference;
+    spec.graph = models::zoo_forward("resnet50_host", 1);
+    spec.arrivals.assign(requests, 0.0);
+    spec.deadline_ms = 1e9;
+    spec.seed = seed;
+    return service.submit(std::move(spec));
+  };
+  burst("two", 2, 7);
+  burst("three", 3, 9);
+  service.drain();
+
+  const ServiceSnapshot snap = service.snapshot();
+  ASSERT_EQ(snap.jobs.size(), 2u);
+  EXPECT_EQ(snap.steps_run, 1u);
+  EXPECT_EQ(snap.jobs[0].steps_done, 2);
+  EXPECT_EQ(snap.jobs[1].steps_done, 3);
+  EXPECT_DOUBLE_EQ(
+      snap.jobs[0].checksum,
+      reference_checksum(models::zoo_forward("resnet50_host", 2), 7));
+  EXPECT_DOUBLE_EQ(
+      snap.jobs[1].checksum,
+      reference_checksum(models::zoo_forward("resnet50_host", 4), 9));
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "machine/machine_spec.hpp"
 #include "models/models.hpp"
+#include "models/zoo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/cluster_service.hpp"
@@ -43,9 +44,9 @@ std::string fleet_digest(const FleetSnapshot& snap) {
   return os.str();
 }
 
-// The scripted run: 2 shards, mixed training jobs plus one open-loop
-// latency-SLO inference tenant, one mid-flight cancel, drained inline on
-// the deterministic pump path.
+// The scripted run: 2 shards, mixed training jobs plus two open-loop
+// latency-SLO inference tenants (one batchable), one mid-flight cancel,
+// drained inline on the deterministic pump path.
 FleetSnapshot scripted_run(obs::Registry* metrics,
                            obs::TraceCollector* trace) {
   ClusterServiceOptions opt;
@@ -76,6 +77,16 @@ FleetSnapshot scripted_run(obs::Registry* metrics,
   inf.deadline_ms = 60.0;
   inf.width_floor = 4;
   ids.push_back(cluster.submit(inf));
+  // A batch-one tenant: its bursts are served several requests per step.
+  JobSpec batched;
+  batched.name = "slo-batched";
+  batched.kind = JobKind::kInference;
+  batched.graph = models::zoo_forward("resnet50_host", 1);
+  batched.arrivals = poisson_trace(/*rate_rps=*/400.0, /*duration_ms=*/40.0,
+                                   /*seed=*/9);
+  batched.deadline_ms = 60.0;
+  batched.width_floor = 4;
+  ids.push_back(cluster.submit(batched));
 
   cluster.run_pump();        // place the batch
   cluster.cancel(ids[3]);    // then a mid-flight cancel
@@ -118,12 +129,17 @@ TEST(ObsReplay, TraceCoversBothShardsAndAFullJobLifecycle) {
   std::set<double> span_pids;
   std::size_t completed_job_spans = 0;
   std::size_t step_spans = 0;
+  std::size_t batched_step_spans = 0;
   std::size_t request_spans = 0;
   for (const json::JsonValue& ev : *doc.array) {
     if (json::str_member(ev, "ph") != "X") continue;
     span_pids.insert(json::num_member(ev, "pid"));
     const std::string cat = json::str_member(ev, "cat");
     if (cat == "step") ++step_spans;
+    const std::string name = json::str_member(ev, "name");
+    if (cat == "step" && name.find(" batch ") != std::string::npos &&
+        !name.ends_with(" batch 1"))
+      ++batched_step_spans;
     if (cat == "request") ++request_spans;
     if (cat != "job") continue;
     // A completed job's lifecycle span covers submit -> finish on the
@@ -137,6 +153,24 @@ TEST(ObsReplay, TraceCoversBothShardsAndAFullJobLifecycle) {
   EXPECT_GE(completed_job_spans, 1u);
   EXPECT_GT(step_spans, 0u);
   EXPECT_GT(request_spans, 0u);
+  EXPECT_GT(batched_step_spans, 0u) << "the burst tenant never batched";
+
+  // serve_batch_requests: one observation per inference tenant per step,
+  // summing to every request served.
+  std::uint64_t batch_steps = 0;
+  double batched_requests = 0.0;
+  for (const char* shard : {"0", "1"}) {
+    const obs::MetricPoint* h = snap.metrics.find(
+        obs::label("serve_batch_requests", "shard", shard));
+    if (h == nullptr) continue;
+    batch_steps += h->count;
+    batched_requests += h->sum;
+  }
+  double served = 0.0;
+  for (const FleetJob& fj : snap.jobs)
+    if (fj.record.kind == JobKind::kInference) served += fj.record.steps_done;
+  EXPECT_DOUBLE_EQ(batched_requests, served);
+  EXPECT_LT(static_cast<double>(batch_steps), served);
 
   // The fleet metrics snapshot carries the shard-qualified serve_* family
   // and the cluster_* family, and its counters agree with the books.

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "models/zoo.hpp"
+#include "obs/trace.hpp"
 #include "serve/service.hpp"
 #include "serve/traffic.hpp"
 #include "testing/graph_fuzz.hpp"
@@ -29,7 +30,8 @@ Graph small_graph(std::uint64_t seed) {
 }
 
 /// The scripted tenancy every replay test drives: two training jobs plus
-/// two inference tenants with seeded Poisson/diurnal traces.
+/// three inference tenants with seeded Poisson/diurnal traces, one of them
+/// batchable.
 std::vector<JobSpec> make_script() {
   std::vector<JobSpec> script;
 
@@ -69,6 +71,18 @@ std::vector<JobSpec> make_script() {
   inf2.deadline_ms = 30.0;
   inf2.width_floor = 4;
   script.push_back(inf2);
+
+  // A batch-one zoo view: bursts of arrived requests are served together,
+  // one rebatched forward step each.
+  JobSpec inf3;
+  inf3.name = "inf-batched";
+  inf3.kind = JobKind::kInference;
+  inf3.graph = models::zoo_forward("resnet50_host", 1);
+  inf3.arrivals = poisson_trace(/*rate_rps=*/300.0, /*duration_ms=*/150.0,
+                                /*seed=*/8);
+  inf3.deadline_ms = 60.0;
+  inf3.width_floor = 8;
+  script.push_back(inf3);
 
   return script;
 }
@@ -187,6 +201,113 @@ TEST(SloReplay, SloMetricsBookEveryRequest) {
   // The straggler at +500ms forced an idle-clock jump: the service must
   // have advanced past it, not spun or finished early.
   EXPECT_GE(rec.finish_ms, rec.submit_ms + 500.0);
+}
+
+/// The batch-one resnet50_host view serving `arrivals`, alone on a
+/// virtual-clock sim service with a trace attached.
+struct Burst {
+  ServiceSnapshot snap;
+  std::vector<obs::TraceSpan> steps;     // "step" spans, in order
+  std::vector<obs::TraceSpan> requests;  // "request" spans, in order
+};
+
+Burst run_burst(std::vector<double> arrivals) {
+  Runtime rt(MachineSpec::knl());
+  obs::TraceCollector trace;
+  ServiceOptions opt;
+  opt.substrate = Substrate::kSimulated;
+  opt.clock = ClockMode::kVirtual;
+  opt.trace = &trace;
+  SchedulerService svc(rt, opt);
+
+  JobSpec inf;
+  inf.name = "burst";
+  inf.kind = JobKind::kInference;
+  inf.graph = models::zoo_forward("resnet50_host", 1);
+  inf.arrivals = std::move(arrivals);
+  inf.deadline_ms = 1e9;
+  svc.submit(inf);
+  svc.drain();
+
+  Burst out;
+  out.snap = svc.snapshot();
+  for (const obs::TraceSpan& s : trace.spans()) {
+    if (s.cat == "step") out.steps.push_back(s);
+    if (s.cat == "request") out.requests.push_back(s);
+  }
+  return out;
+}
+
+TEST(SloReplay, ArrivedBurstIsServedInOneBatchedStep) {
+  const Burst burst = run_burst(std::vector<double>(5, 0.0));
+  EXPECT_EQ(burst.snap.steps_run, 1u);
+  ASSERT_EQ(burst.steps.size(), 1u);
+  EXPECT_EQ(burst.steps[0].name, "step 1 batch 8");  // 5 rounds up to 8
+  const double makespan = burst.steps[0].dur_ms;
+  EXPECT_GT(makespan, 0.0);
+
+  const JobRecord& rec = burst.snap.jobs[0];
+  EXPECT_EQ(rec.state, JobState::kCompleted);
+  EXPECT_EQ(rec.steps_done, 5);
+  EXPECT_EQ(rec.slo_hits, 5u);
+  // Every request is booked on its own: one span each, arrival to the end
+  // of the step that served it.
+  ASSERT_EQ(burst.requests.size(), 5u);
+  for (std::size_t k = 0; k < 5; ++k) {
+    EXPECT_EQ(burst.requests[k].name, "req " + std::to_string(k));
+    EXPECT_DOUBLE_EQ(burst.requests[k].start_ms, 0.0);
+    EXPECT_DOUBLE_EQ(burst.requests[k].dur_ms, makespan);
+  }
+  EXPECT_DOUBLE_EQ(rec.p50_latency_ms, makespan);
+  EXPECT_DOUBLE_EQ(rec.p99_latency_ms, makespan);
+  EXPECT_DOUBLE_EQ(rec.max_latency_ms, makespan);
+  // Service time is booked once per step, not once per request.
+  EXPECT_DOUBLE_EQ(rec.run_ms, makespan);
+  EXPECT_DOUBLE_EQ(rec.service_ms, burst.snap.stepped_service_ms);
+}
+
+TEST(SloReplay, BurstBeyondTheCapIsServedAsSixteenThenTheRest) {
+  const Burst burst = run_burst(std::vector<double>(20, 0.0));
+  EXPECT_EQ(burst.snap.steps_run, 2u);
+  ASSERT_EQ(burst.steps.size(), 2u);
+  EXPECT_EQ(burst.steps[0].name, "step 1 batch 16");
+  EXPECT_EQ(burst.steps[1].name, "step 2 batch 4");
+  const double first = burst.steps[0].dur_ms;
+  const double second = burst.steps[1].dur_ms;
+
+  const JobRecord& rec = burst.snap.jobs[0];
+  EXPECT_EQ(rec.steps_done, 20);
+  ASSERT_EQ(burst.requests.size(), 20u);
+  for (std::size_t k = 0; k < 20; ++k) {
+    SCOPED_TRACE("request " + std::to_string(k));
+    EXPECT_DOUBLE_EQ(burst.requests[k].dur_ms,
+                     k < 16 ? first : first + second);
+  }
+  // Sixteen latencies of `first`, four of `first + second`: the exact
+  // percentiles fall on those two values.
+  EXPECT_DOUBLE_EQ(rec.p50_latency_ms, first);
+  EXPECT_DOUBLE_EQ(rec.p99_latency_ms, first + second);
+  EXPECT_DOUBLE_EQ(rec.max_latency_ms, first + second);
+  EXPECT_DOUBLE_EQ(rec.run_ms, first + second);
+}
+
+TEST(SloReplay, EachBatchedRequestKeepsItsOwnArrival) {
+  // Request 0 is alone at t = 0; requests 1-4 arrive while its step runs
+  // and are served together by the next one.
+  const Burst burst = run_burst({0.0, 1.0, 2.0, 3.0, 4.0});
+  ASSERT_EQ(burst.steps.size(), 2u);
+  EXPECT_EQ(burst.steps[0].name, "step 1 batch 1");
+  EXPECT_EQ(burst.steps[1].name, "step 2 batch 4");
+  const double end = burst.steps[1].start_ms + burst.steps[1].dur_ms;
+  ASSERT_EQ(burst.requests.size(), 5u);
+  EXPECT_DOUBLE_EQ(burst.requests[0].dur_ms, burst.steps[0].dur_ms);
+  for (std::size_t k = 1; k < 5; ++k) {
+    SCOPED_TRACE("request " + std::to_string(k));
+    EXPECT_DOUBLE_EQ(burst.requests[k].start_ms, static_cast<double>(k));
+    EXPECT_DOUBLE_EQ(burst.requests[k].dur_ms,
+                     end - static_cast<double>(k));
+  }
+  EXPECT_DOUBLE_EQ(burst.snap.jobs[0].max_latency_ms, end - 1.0);
 }
 
 TEST(SloReplay, ImpossibleDeadlineScoresZeroAttainment) {
