@@ -22,18 +22,24 @@ TenantSet TenantSet::slots(std::size_t count,
 
 // ---- DecisionCache: open-addressed flat table ----------------------------
 
-std::size_t AdmissionPolicy::DecisionCache::hash(std::size_t tenant,
-                                                 ArenaOp op, int idle) {
-  std::uint64_t h = static_cast<std::uint64_t>(tenant);
-  h ^= (static_cast<std::uint64_t>(op) << 32) ^
-       static_cast<std::uint64_t>(static_cast<std::uint32_t>(idle));
-  // splitmix64 finalizer: cheap, well-distributed for sequential ids.
+namespace {
+/// splitmix64 finalizer: cheap, well-distributed for sequential ids.
+std::uint64_t mix64(std::uint64_t h) {
   h ^= h >> 30;
   h *= 0xBF58476D1CE4E5B9ull;
   h ^= h >> 27;
   h *= 0x94D049BB133111EBull;
   h ^= h >> 31;
-  return static_cast<std::size_t>(h);
+  return h;
+}
+}  // namespace
+
+std::size_t AdmissionPolicy::DecisionCache::hash(std::size_t tenant,
+                                                 ArenaOp op, int idle) {
+  return static_cast<std::size_t>(
+      mix64(static_cast<std::uint64_t>(tenant) ^
+            (static_cast<std::uint64_t>(op) << 32) ^
+            static_cast<std::uint64_t>(static_cast<std::uint32_t>(idle))));
 }
 
 const Candidate* AdmissionPolicy::DecisionCache::find(std::size_t tenant,
@@ -144,9 +150,8 @@ void AdmissionPolicy::rebuild_deficit_gauges() {
 }
 
 void AdmissionPolicy::reset_learning() {
-  bad_pairs_.clear();
-  bad_pairs_rev_.clear();
-  bad_pairs_rev_stale_ = false;
+  bad_partners_.clear();
+  bad_pair_count_ = 0;
   decision_cache_.clear();
 }
 
@@ -262,13 +267,16 @@ void AdmissionPolicy::configure_tenants(const TenantSet& set) {
 void AdmissionPolicy::retire_tenant(std::size_t id) {
   retained_service_.erase(id);
   decision_cache_.erase_tenant(id);
-  bad_pairs_.erase(std::remove_if(bad_pairs_.begin(), bad_pairs_.end(),
-                                  [id](const auto& p) {
-                                    return p.first.tenant == id ||
-                                           p.second.tenant == id;
-                                  }),
-                   bad_pairs_.end());
-  bad_pairs_rev_stale_ = true;
+  const auto owned = [id](const TenantArenaOp& e) { return e.tenant == id; };
+  for (auto it = bad_partners_.begin(); it != bad_partners_.end();) {
+    if (!owned(it->first)) std::erase_if(it->second, owned);
+    if (owned(it->first) || it->second.empty()) {
+      it = bad_partners_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  bad_pair_count_ = count_pairs([](const TenantArenaOp&) { return true; });
 }
 
 void AdmissionPolicy::ensure_tenants(std::size_t count) {
@@ -327,23 +335,37 @@ double AdmissionPolicy::service_of(std::size_t id) const {
 }
 
 std::size_t AdmissionPolicy::recorded_bad_pairs(std::size_t tenant) const {
-  std::size_t n = 0;
-  for (const auto& p : bad_pairs_) {
-    if (p.first.tenant == tenant || p.second.tenant == tenant) ++n;
-  }
-  return n;
+  return count_pairs(
+      [tenant](const TenantArenaOp& e) { return e.tenant == tenant; });
 }
 
 // ---- interference record -------------------------------------------------
 
+std::size_t AdmissionPolicy::TenantArenaOpHash::operator()(
+    const TenantArenaOp& k) const noexcept {
+  return static_cast<std::size_t>(
+      mix64(static_cast<std::uint64_t>(k.tenant) ^
+            (static_cast<std::uint64_t>(k.op) << 32)));
+}
+
+template <typename Pred>
+std::size_t AdmissionPolicy::count_pairs(Pred pred) const {
+  // Each pair sits in both endpoints' lists; count it from its lesser one.
+  std::size_t n = 0;
+  for (const auto& [a, partners] : bad_partners_) {
+    for (const TenantArenaOp& b : partners) {
+      if (a <= b && (pred(a) || pred(b))) ++n;
+    }
+  }
+  return n;
+}
+
 void AdmissionPolicy::insert_bad_pair(TenantArenaOp a, TenantArenaOp b) {
-  if (b < a) std::swap(a, b);
-  const auto pair = std::make_pair(a, b);
-  const auto it =
-      std::lower_bound(bad_pairs_.begin(), bad_pairs_.end(), pair);
-  if (it != bad_pairs_.end() && *it == pair) return;
-  bad_pairs_.insert(it, pair);
-  bad_pairs_rev_stale_ = true;
+  std::vector<TenantArenaOp>& mine = bad_partners_[a];
+  if (std::find(mine.begin(), mine.end(), b) != mine.end()) return;
+  mine.push_back(b);
+  if (a != b) bad_partners_[b].push_back(a);
+  ++bad_pair_count_;
 }
 
 void AdmissionPolicy::begin_walk() {
@@ -356,33 +378,16 @@ void AdmissionPolicy::begin_walk() {
 
 void AdmissionPolicy::stamp_bad_partners(
     std::size_t id, const std::vector<TenantArenaOp>& running) {
-  if (bad_pairs_rev_stale_) {
-    bad_pairs_rev_.clear();
-    bad_pairs_rev_.reserve(bad_pairs_.size());
-    for (const auto& p : bad_pairs_)
-      bad_pairs_rev_.emplace_back(p.second, p.first);
-    std::sort(bad_pairs_rev_.begin(), bad_pairs_rev_.end());
-    bad_pairs_rev_stale_ = false;
-  }
-  // A pair blocks candidate {id, op} iff its other endpoint is running;
-  // scanning both orientations of the sorted record per RUNNING op visits
-  // each blocking pair exactly once, independent of ready-queue length.
-  const auto stamp_range =
-      [this, id](const std::vector<std::pair<TenantArenaOp, TenantArenaOp>>&
-                     pairs,
-                 const TenantArenaOp& r) {
-        auto it = std::lower_bound(
-            pairs.begin(), pairs.end(), r,
-            [](const std::pair<TenantArenaOp, TenantArenaOp>& p,
-               const TenantArenaOp& key) { return p.first < key; });
-        for (; it != pairs.end() && it->first == r; ++it) {
-          if (it->second.tenant == id) badpair_stamp_[it->second.op] = walk_id_;
-        }
-      };
+  // A pair blocks candidate {id, op} iff its other endpoint is running, so
+  // each running op's partner list stamps exactly its blocking pairs,
+  // independent of ready-queue length.
   for (const TenantArenaOp& r : running) {
     if (r.op == kNoArenaOp) continue;
-    stamp_range(bad_pairs_, r);
-    stamp_range(bad_pairs_rev_, r);
+    const auto it = bad_partners_.find(r);
+    if (it == bad_partners_.end()) continue;
+    for (const TenantArenaOp& p : it->second) {
+      if (p.tenant == id) badpair_stamp_[p.op] = walk_id_;
+    }
   }
 }
 
@@ -461,7 +466,7 @@ std::optional<AdmissionDecision> AdmissionPolicy::pick_for_tenant(
   const double bound = ongoing * (1.0 + kCorunSlack);
   const bool check_pairs = something_running &&
                            options_.interference_recorder &&
-                           !bad_pairs_.empty();
+                           bad_pair_count_ != 0;
   const bool has_skip = !skip.empty();
   const std::size_t id = stable_id(tenant);
 
@@ -733,7 +738,7 @@ std::optional<MultiAdmissionDecision> AdmissionPolicy::next_overlay_multi(
   // deficit order with a strict < makes ties go to the least-served tenant,
   // then to the earlier queue position, deterministically.
   const bool check_pairs = options_.interference_recorder &&
-                           !bad_pairs_.empty() &&
+                           bad_pair_count_ != 0 &&
                            !running_scratch_.ops.empty();
   std::size_t small_tenant = 0, small_pos = 0;
   double small_time = std::numeric_limits<double>::infinity();

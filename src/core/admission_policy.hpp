@@ -19,8 +19,10 @@
 // guard pre-applied), and the predicted/serial times — so the walk over a
 // thousand-op ready queue does no hashing and no map lookups, just indexed
 // loads. The decision cache is an open-addressed flat table keyed by
-// (stable tenant id, arena op, idle width); the interference record is a
-// sorted flat vector probed by binary search. Bindings are invalidated by
+// (stable tenant id, arena op, idle width); the interference record is an
+// adjacency map from each (stable tenant id, arena op) endpoint to its
+// recorded partners, so recording and stamping cost O(1) per pair.
+// Bindings are invalidated by
 // the controller's build generation, so re-profiling or rebuild_decisions
 // is picked up exactly as if everything were recomputed per call.
 //
@@ -37,6 +39,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "core/concurrency_controller.hpp"
@@ -241,7 +244,7 @@ class AdmissionPolicy {
   void record_interference(const TenantOpKey& completed,
                            const std::vector<TenantOpKey>& corunners);
 
-  std::size_t recorded_bad_pairs() const { return bad_pairs_.size(); }
+  std::size_t recorded_bad_pairs() const { return bad_pair_count_; }
   /// Bad pairs with at least one endpoint owned by `tenant` (a STABLE id —
   /// identical to the slot index for slot-indexed populations).
   std::size_t recorded_bad_pairs(std::size_t tenant) const;
@@ -301,6 +304,9 @@ class AdmissionPolicy {
     std::size_t tenant = 0;
     ArenaOp op = kNoArenaOp;
     auto operator<=>(const TenantArenaOp&) const = default;
+  };
+  struct TenantArenaOpHash {
+    std::size_t operator()(const TenantArenaOp& k) const noexcept;
   };
 
   /// Per-node record of one graph binding: everything the hot walk needs,
@@ -406,13 +412,17 @@ class AdmissionPolicy {
                            int idle_cores) const;
 
   void insert_bad_pair(TenantArenaOp a, TenantArenaOp b);
+  /// Pairs of the record with an endpoint satisfying `pred`, each counted
+  /// once (O(record) — for the accessors and retirement, not the walk).
+  template <typename Pred>
+  std::size_t count_pairs(Pred pred) const;
   /// Starts a fresh stamp epoch (walk_id_) for one queue walk, sizing the
   /// stamp arrays to every arena op interned so far.
   void begin_walk();
   /// Stamps badpair_stamp_[op] = walk_id_ for every op that tenant `id`
   /// may not co-run beside the resolved running set — the walk then skips
   /// those ops with one array probe per visited candidate instead of a
-  /// binary search of the pair record.
+  /// probe of the pair record.
   void stamp_bad_partners(std::size_t id,
                           const std::vector<TenantArenaOp>& running);
 
@@ -445,15 +455,13 @@ class AdmissionPolicy {
   std::vector<GraphBinding> bindings_;
 
   /// Interference recorder: unordered tenant-qualified op pairs seen to
-  /// co-run badly, stored ordered (first <= second) in a sorted flat
-  /// vector probed by binary search. Tenant fields hold STABLE ids.
-  std::vector<std::pair<TenantArenaOp, TenantArenaOp>> bad_pairs_;
-  /// bad_pairs_ with endpoints flipped, sorted — gives stamp_bad_partners
-  /// a contiguous range per running op for the pairs where the runner is
-  /// the SECOND endpoint. Rebuilt lazily after recorder mutations
-  /// (insertions are rare next to walk visits).
-  std::vector<std::pair<TenantArenaOp, TenantArenaOp>> bad_pairs_rev_;
-  bool bad_pairs_rev_stale_ = false;
+  /// co-run badly, as an adjacency map — each endpoint lists its partners
+  /// in recording order, and a pair {a, b} sits in both a's and b's list
+  /// (a self pair once). Tenant fields hold STABLE ids.
+  std::unordered_map<TenantArenaOp, std::vector<TenantArenaOp>,
+                     TenantArenaOpHash>
+      bad_partners_;
+  std::size_t bad_pair_count_ = 0;
   DecisionCache decision_cache_;
 
   /// Fairness ledger: accumulated weighted service and weight per SLOT for
