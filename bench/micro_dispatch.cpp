@@ -8,6 +8,10 @@
 //   sched_overhead_pct  decision time as % of step wall-clock — the
 //                       paper's "runtime must not eat its own win" budget
 //   step_ms             full native step, for the trajectory
+// A second section times the simulated substrate: wall ms per
+// Runtime::run_step_multi step of the same fuzz family on KNL at 250, 1000
+// and 2000 ops, with the step's simulated ms and the interference record's
+// size, each with the recorder on and off (info metrics: wall clock).
 // Graphs come from the fuzz generator (tests/testing/graph_fuzz) so the
 // ready set stays wide and irregular — the shape that punishes a slow
 // policy. Decision batching k=1 (historical decision-per-wake loop) runs
@@ -22,6 +26,7 @@
 #include "all_benchmarks.hpp"
 #include "core/runtime.hpp"
 #include "testing/graph_fuzz.hpp"
+#include "util/clock.hpp"
 #include "util/table.hpp"
 
 namespace opsched::bench {
@@ -30,6 +35,48 @@ namespace {
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
+/// The simulated-step section: `steps` consecutive run_step_multi steps per
+/// (size, recorder) pair, reporting the median wall ms per step and the
+/// last step's simulated ms and recorded pairs (the record's growth shows
+/// as a drift between the first and last step).
+void run_sim_steps(Context& ctx, int steps) {
+  TablePrinter table({"ops", "recorder", "wall ms/step", "sim ms (last)",
+                      "pairs"});
+  for (const int nodes : {250, 1000, 2000}) {
+    testing::FuzzGraphParams params;
+    params.min_nodes = static_cast<std::size_t>(nodes);
+    params.max_nodes = static_cast<std::size_t>(nodes);
+    params.max_dim = 6;
+    const Graph g = testing::fuzz_graph(/*seed=*/2026, params);
+    for (const bool recorder : {true, false}) {
+      RuntimeOptions opt;
+      opt.interference_recorder = recorder;
+      Runtime rt(MachineSpec::knl(), opt);
+      rt.profile(g);
+      std::vector<double> wall;
+      double sim_ms = 0.0;
+      for (int s = 0; s < steps; ++s) {
+        const double t0 = wall_time_ms();
+        sim_ms = rt.run_step_multi({&g}, TenantSet::slots(1))[0].time_ms;
+        wall.push_back(wall_time_ms() - t0);
+      }
+      const std::size_t pairs = rt.policy().recorded_bad_pairs();
+      const std::string tag = "/n=" + std::to_string(nodes) +
+                              (recorder ? "/rec=on" : "/rec=off");
+      ctx.metric("sim_step_wall_ms" + tag, median(wall), "ms");
+      ctx.metric("sim_step_ms" + tag, sim_ms, "ms");
+      ctx.metric("sim_recorded_pairs" + tag, static_cast<double>(pairs),
+                 "count");
+      table.add_row({std::to_string(nodes), recorder ? "on" : "off",
+                     fmt_double(median(wall), 2), fmt_double(sim_ms, 2),
+                     std::to_string(pairs)});
+    }
+  }
+  ctx.out() << "\nSimulated KNL steps of the fuzz graph (" << steps
+            << " consecutive steps each):\n";
+  table.print(ctx.out());
 }
 
 void run(Context& ctx) {
@@ -102,6 +149,8 @@ void run(Context& ctx) {
   ctx.out() << "ns/launch is the admission walk itself; overhead % is the "
                "dispatcher's share of the step — the budget the hot-path "
                "rebuild defends.\n";
+
+  run_sim_steps(ctx, std::max(1, ctx.param_int("sim_steps", 8)));
 }
 
 }  // namespace
@@ -113,7 +162,8 @@ void register_micro_dispatch(Registry& reg) {
   b.description =
       "admission-decision latency and scheduler overhead on 1000-op graphs";
   b.default_params = {
-      {"nodes", "1000"}, {"cores", "4"}, {"steps", "3"}, {"batch", "4"}};
+      {"nodes", "1000"}, {"cores", "4"},     {"steps", "3"},
+      {"batch", "4"},    {"sim_steps", "8"}};
   b.fn = run;
   reg.add(std::move(b));
 }
