@@ -128,6 +128,8 @@ void AdmissionPolicy::attach_metrics(obs::Registry* reg,
   telem_.cache_misses = reg->counter(qual("policy_cache_misses_total"));
   telem_.quick_rejects = reg->counter(qual("policy_quick_rejects_total"));
   telem_.badpair_skips = reg->counter(qual("policy_badpair_skips_total"));
+  telem_.badpair_overrides =
+      reg->counter(qual("policy_badpair_overrides_total"));
   telem_.overlay_grants = reg->counter(qual("policy_overlay_grants_total"));
   telem_.heavy_fallbacks = reg->counter(qual("policy_heavy_fallbacks_total"));
   telem_.decision_ms = reg->histogram(qual("policy_decision_ms"));
@@ -360,10 +362,30 @@ std::size_t AdmissionPolicy::count_pairs(Pred pred) const {
   return n;
 }
 
+void AdmissionPolicy::make_room(TenantArenaOp a) {
+  const auto it = bad_partners_.find(a);
+  if (it == bad_partners_.end() || it->second.size() < kMaxBadPartners)
+    return;
+  const TenantArenaOp oldest = it->second.front();
+  it->second.erase(it->second.begin());
+  if (oldest != a) {
+    const auto other = bad_partners_.find(oldest);
+    std::erase(other->second, a);
+    if (other->second.empty()) bad_partners_.erase(other);
+  }
+  --bad_pair_count_;
+}
+
 void AdmissionPolicy::insert_bad_pair(TenantArenaOp a, TenantArenaOp b) {
-  std::vector<TenantArenaOp>& mine = bad_partners_[a];
-  if (std::find(mine.begin(), mine.end(), b) != mine.end()) return;
-  mine.push_back(b);
+  const auto it = bad_partners_.find(a);
+  if (it != bad_partners_.end() &&
+      std::find(it->second.begin(), it->second.end(), b) != it->second.end())
+    return;
+  // Partner lists are capped, so the find above and the evictions below
+  // cost O(kMaxBadPartners) whatever the record's size.
+  make_room(a);
+  if (a != b) make_room(b);
+  bad_partners_[a].push_back(b);
   if (a != b) bad_partners_[b].push_back(a);
   ++bad_pair_count_;
 }
@@ -456,7 +478,8 @@ bool position_skipped(const std::vector<std::size_t>& skip, std::size_t pos) {
 std::optional<AdmissionDecision> AdmissionPolicy::pick_for_tenant(
     std::size_t tenant, const GraphBinding& binding, const ReadyQueue& ready,
     int idle_cores, const RunningScratch& running,
-    const std::vector<std::size_t>& skip, AdmissionStats* stats) {
+    const std::vector<std::size_t>& skip, AdmissionStats* stats,
+    std::optional<AdmissionDecision>* paired) {
   const double ongoing = running.max_remaining;
   const bool something_running = !running.ops.empty();
   const bool use_cache = options_.decision_cache && something_running;
@@ -488,17 +511,52 @@ std::optional<AdmissionDecision> AdmissionPolicy::pick_for_tenant(
   // guard_rewrites keeps the per-visit stats bit-identical to the
   // unmemoized walk (bad-paired skips never counted).
   begin_walk();
-  // Blocked ops are stamped ONCE up front (O(running × log pairs)), so the
+  // Blocked ops are stamped ONCE up front (O(running × partners)), so the
   // loop pays a single array probe per candidate instead of a pair-record
-  // binary search per visit — on failing scans over a thousand-op queue
-  // that probe dominated the walk.
+  // probe per visit — on failing scans over a thousand-op queue that probe
+  // dominated the walk.
   if (check_pairs) stamp_bad_partners(id, running.ops);
+
+  // Admissible candidates: fit the idle cores; when co-running, do not
+  // outlast the ongoing ops. The fewest-threads admissible one wins —
+  // freeing cores for more co-runners, the paper's "maximize operations
+  // co-running" tie-break.
+  const auto best_of = [&](const BoundNode& node) -> const Candidate* {
+    const Candidate* best = nullptr;
+    const Candidate* menu = binding.menu.data() + node.menu_begin;
+    for (std::uint32_t i = 0; i < node.menu_count; ++i) {
+      const Candidate& c = menu[i];
+      if (c.threads > idle_cores) continue;
+      if (something_running && c.time_ms > bound) continue;
+      if (best == nullptr || c.threads < best->threads) best = &c;
+    }
+    return best;
+  };
+  const auto decide = [&](std::size_t pos, const BoundNode& node,
+                          const Candidate& c) {
+    AdmissionDecision d;
+    d.ready_pos = pos;
+    d.candidate = c;
+    d.op_token = node.op;
+    return d;
+  };
 
   for (std::size_t pos = 0; pos < ready.size(); ++pos) {
     if (has_skip && position_skipped(skip, pos)) continue;
     const BoundNode& node = binding.nodes[ready[pos]];
     if (badpair_stamp_[node.op] == walk_id_) {
+      // Passed over, but remembered as the last resort: the first
+      // bad-paired op with an admissible launch (duplicates of an op
+      // resolve identically under one snapshot, so one probe per op).
       ++n_badpair;
+      if (paired != nullptr && !paired->has_value() &&
+          reject_stamp_[node.op] != walk_id_) {
+        if (const Candidate* c = best_of(node)) {
+          *paired = decide(pos, node, *c);
+        } else {
+          reject_stamp_[node.op] = walk_id_;
+        }
+      }
       continue;
     }
     if (reject_stamp_[node.op] == walk_id_) {
@@ -526,35 +584,16 @@ std::optional<AdmissionDecision> AdmissionPolicy::pick_for_tenant(
       const Candidate* c = decision_cache_.find(id, node.op, idle_cores);
       if (c != nullptr && c->threads <= idle_cores && c->time_ms <= bound) {
         if (stats != nullptr) ++stats->cache_hits;
-        AdmissionDecision d;
-        d.ready_pos = pos;
-        d.candidate = *c;
-        d.op_token = node.op;
         if (telem_.reg != nullptr) telem_.cache_hits->inc();
         flush_telemetry();
-        return d;
+        return decide(pos, node, *c);
       }
     }
 
     if (stats != nullptr) stats->guard_fallbacks += node.guard_rewrites;
 
-    // Admissible candidates: fit the idle cores; when co-running, do not
-    // outlast the ongoing ops. Pick the fewest-threads admissible one —
-    // freeing cores for more co-runners, the paper's "maximize operations
-    // co-running" tie-break.
-    const Candidate* best = nullptr;
-    const Candidate* menu = binding.menu.data() + node.menu_begin;
-    for (std::uint32_t i = 0; i < node.menu_count; ++i) {
-      const Candidate& c = menu[i];
-      if (c.threads > idle_cores) continue;
-      if (something_running && c.time_ms > bound) continue;
-      if (best == nullptr || c.threads < best->threads) best = &c;
-    }
-    if (best != nullptr) {
-      AdmissionDecision d;
-      d.ready_pos = pos;
-      d.candidate = *best;
-      d.op_token = node.op;
+    if (const Candidate* best = best_of(node)) {
+      const AdmissionDecision d = decide(pos, node, *best);
       if (use_cache) {
         decision_cache_.insert(id, node.op, idle_cores, *best);
         if (telem_.reg != nullptr) telem_.cache_misses->inc();
@@ -610,21 +649,35 @@ std::optional<MultiAdmissionDecision> AdmissionPolicy::pick_once(
   const int reserved =
       any_floor ? reserved_for_latency(tenants, running, idle_cores) : 0;
 
+  // The first bad-paired launch that passed every other check, in visit
+  // order: taken only when no tenant has any other admissible launch.
+  std::optional<AdmissionDecision> paired;
+  std::size_t paired_tenant = 0;
   for (const std::size_t t : order_scratch_) {
     if (tenants[t].ready->empty()) continue;
     const int usable = tenant_floor(t) > 0 ? idle_cores : idle_cores - reserved;
     if (usable <= 0) continue;
     const GraphBinding& b = bind(t, *tenants[t].graph);
+    const bool had_paired = paired.has_value();
     auto pick = pick_for_tenant(t, b, *tenants[t].ready, usable, running,
                                 skips.empty() ? kNoSkip : skips[t],
-                                stats != nullptr ? &(*stats)[t] : nullptr);
+                                stats != nullptr ? &(*stats)[t] : nullptr,
+                                &paired);
     if (pick.has_value()) {
       charge(t, pick->candidate);
       return MultiAdmissionDecision{t, *pick};
     }
+    if (!had_paired && paired.has_value()) paired_tenant = t;
   }
 
-  if (!running.ops.empty()) return std::nullopt;  // wait for a completion
+  if (!running.ops.empty()) {
+    // A recorded pair means "prefer another launch": with nothing else
+    // admissible, co-running the pair beats leaving the cores idle.
+    if (!paired.has_value()) return std::nullopt;  // wait for a completion
+    charge(paired_tenant, paired->candidate);
+    if (telem_.reg != nullptr) telem_.badpair_overrides->inc();
+    return MultiAdmissionDecision{paired_tenant, *paired};
+  }
 
   // Machine empty but nothing "fits" anywhere: the least-served tenant with
   // ready work runs its most time-consuming op, capped to the idle width

@@ -172,6 +172,9 @@ class AdmissionPolicy {
   /// Tolerance when comparing a candidate's time against the ongoing ops'
   /// remaining time (the Strategy 3/4 throughput guard).
   static constexpr double kCorunSlack = 0.05;
+  /// Most recorded partners one (tenant, op) endpoint keeps; recording one
+  /// more evicts its oldest pair, which is then free to be retested.
+  static constexpr std::size_t kMaxBadPartners = 8;
 
   AdmissionPolicy(const ConcurrencyController& controller,
                   RuntimeOptions options)
@@ -202,10 +205,14 @@ class AdmissionPolicy {
   /// Each pick visits tenants in weighted-deficit order (least accumulated
   /// weighted service first) and walks each tenant's queue in arrival order
   /// until one yields an admissible launch (or runs the serial pick when
-  /// Strategy 3 is off), charging the winner's service ledger. The heavy
-  /// fallback — the most time-consuming ready op, capped to the idle width —
-  /// applies only when the machine is empty and NO tenant had an admissible
-  /// candidate. An empty result means "wait for a completion".
+  /// Strategy 3 is off), charging the winner's service ledger. An op that
+  /// forms a recorded bad pair with a running op is passed over while any
+  /// other launch is admissible; when none is, the first bad-paired op that
+  /// passes every other check co-runs rather than leave the cores idle.
+  /// The heavy fallback — the most time-consuming ready op, capped to the
+  /// idle width — applies only when the machine is empty and NO tenant had
+  /// an admissible candidate. An empty result means "wait for a
+  /// completion".
   ///
   /// Decision i models the preceding i-1 picks as already launched (idle
   /// cores shrink, the picks join the running snapshot at their predicted
@@ -240,7 +247,8 @@ class AdmissionPolicy {
 
   /// Records that `completed` co-ran badly with each of `corunners` (paper
   /// Section III-D: "record such cases and avoid co-running such operations
-  /// in the future training steps").
+  /// in the future training steps"). Each endpoint keeps at most
+  /// kMaxBadPartners partners, evicting its oldest pair first.
   void record_interference(const TenantOpKey& completed,
                            const std::vector<TenantOpKey>& corunners);
 
@@ -412,6 +420,8 @@ class AdmissionPolicy {
                            int idle_cores) const;
 
   void insert_bad_pair(TenantArenaOp a, TenantArenaOp b);
+  /// Evicts `a`'s oldest pair when its partner list is full.
+  void make_room(TenantArenaOp a);
   /// Pairs of the record with an endpoint satisfying `pred`, each counted
   /// once (O(record) — for the accessors and retirement, not the walk).
   template <typename Pred>
@@ -432,10 +442,14 @@ class AdmissionPolicy {
   /// batch (empty for single picks); positions in it are passed over. The
   /// returned ready_pos is the ORIGINAL queue position — next_launch_batch
   /// shifts it past the earlier picks before handing it to the caller.
+  /// Bad-paired ops are passed over; when `paired` is non-null and still
+  /// empty, the first of them that passes every other check is stored
+  /// there (pick_once's last resort before leaving cores idle).
   std::optional<AdmissionDecision> pick_for_tenant(
       std::size_t tenant, const GraphBinding& binding,
       const ReadyQueue& ready, int idle_cores, const RunningScratch& running,
-      const std::vector<std::size_t>& skip, AdmissionStats* stats);
+      const std::vector<std::size_t>& skip, AdmissionStats* stats,
+      std::optional<AdmissionDecision>* paired);
 
   /// One pick of the batch walk.
   std::optional<MultiAdmissionDecision> pick_once(
@@ -456,8 +470,9 @@ class AdmissionPolicy {
 
   /// Interference recorder: unordered tenant-qualified op pairs seen to
   /// co-run badly, as an adjacency map — each endpoint lists its partners
-  /// in recording order, and a pair {a, b} sits in both a's and b's list
-  /// (a self pair once). Tenant fields hold STABLE ids.
+  /// in recording order (at most kMaxBadPartners), and a pair {a, b} sits
+  /// in both a's and b's list (a self pair once). Tenant fields hold STABLE
+  /// ids. A pair means "prefer another launch", not "never launch".
   std::unordered_map<TenantArenaOp, std::vector<TenantArenaOp>,
                      TenantArenaOpHash>
       bad_partners_;
@@ -499,6 +514,7 @@ class AdmissionPolicy {
     obs::Counter* cache_misses = nullptr;
     obs::Counter* quick_rejects = nullptr;
     obs::Counter* badpair_skips = nullptr;
+    obs::Counter* badpair_overrides = nullptr;
     obs::Counter* overlay_grants = nullptr;
     obs::Counter* heavy_fallbacks = nullptr;
     obs::Histogram* decision_ms = nullptr;

@@ -284,24 +284,41 @@ TEST_F(AdmissionPolicyTest, RepeatedSituationHitsTheDecisionCache) {
   EXPECT_EQ(a->candidate.threads, b->candidate.threads);
 }
 
-TEST_F(AdmissionPolicyTest, RecordedBadPairIsNeverCoRunAgain) {
+TEST_F(AdmissionPolicyTest, RecordedBadPairYieldsButNeverIdlesCores) {
   AdmissionPolicy policy = make_policy();
+  obs::Registry reg;
+  policy.attach_metrics(&reg);
   const OpKey a = OpKey::of(graph_.node(1));
   const OpKey b = OpKey::of(graph_.node(5));
   policy.record_interference(TenantOpKey{0, a}, {TenantOpKey{0, b}});
   EXPECT_EQ(policy.recorded_bad_pairs(), 1u);
 
-  // Node 4 ready, node 0 running: the pair is blocked, and with nothing
-  // else ready the round must wait.
+  // Node 1 running: the bad-paired tiny op (pos 0) yields to the conv
+  // behind it while that conv is admissible.
+  const auto other =
+      launch(policy, {5, 4}, 32, {running_view(1, 50.0)}, nullptr);
+  ASSERT_TRUE(other.has_value());
+  EXPECT_EQ(other->ready_pos, 1u);
+  EXPECT_EQ(reg.counter("policy_badpair_overrides_total")->value(), 0u);
+
+  // With nothing else ready, the pair co-runs rather than leave 32 cores
+  // idle.
   const ReadyQueue ready{5};
-  const auto d =
-      launch(policy, ready, 32, {running_view(1, 50.0)}, nullptr);
-  EXPECT_FALSE(d.has_value());
+  const auto d = launch(policy, ready, 32, {running_view(1, 50.0)}, nullptr);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->ready_pos, 0u);
+  EXPECT_LE(d->candidate.threads, 32);
+  EXPECT_EQ(reg.counter("policy_badpair_overrides_total")->value(), 1u);
+  // Every other check still applies: a running op about to finish fails
+  // the throughput guard, so the round waits.
+  EXPECT_FALSE(
+      launch(policy, ready, 32, {running_view(1, 1e-9)}, nullptr).has_value());
+
+  // Overlays are scavengers and never ride on a recorded pair, whatever
+  // the running op's remaining time.
   EXPECT_FALSE(
       overlay(policy, ready, 8, {running_view(1, 50.0)})
           .has_value());
-  // Blocked by the record, not the throughput guard: ample remaining time
-  // on the running op changes nothing.
   EXPECT_FALSE(overlay(policy, ready, 8, {running_view(1, 1e6)}).has_value());
 
   policy.reset_learning();
@@ -434,6 +451,17 @@ TEST_F(AdmissionPolicyTest, RetireTenantDropsItsLearnedStateOnly) {
   EXPECT_EQ(p.recorded_bad_pairs(), 1u);
   EXPECT_EQ(p.recorded_bad_pairs(11), 0u);
   EXPECT_EQ(p.recorded_bad_pairs(22), 1u);
+
+  // The purge reaches the surviving endpoint's partner list too: a new job
+  // that reuses id 11 never inherits the retired job's pair, so id 22's op
+  // 2 may ride beside id 11's op 1 again.
+  RunningOpView running = running_view(1, 1e6);
+  running.tenant = 0;  // slot 0 hosts the new id 11
+  const ReadyQueue none;
+  const ReadyQueue conv{2};
+  EXPECT_TRUE(p.next_overlay_multi({{&graph_, &none}, {&graph_, &conv}}, 8,
+                                   {running})
+                  .has_value());
 }
 
 TEST_F(AdmissionPolicyTest, TenantSetValidation) {

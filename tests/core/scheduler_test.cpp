@@ -10,6 +10,8 @@
 #include "core/runtime.hpp"
 #include "graph/builder.hpp"
 #include "models/models.hpp"
+#include "models/zoo.hpp"
+#include "testing/graph_fuzz.hpp"
 
 namespace opsched {
 namespace {
@@ -253,17 +255,17 @@ TEST(ScheduleIdentity, SimSchedulesArePinned) {
   };
   const Case cases[] = {
       {"resnet50", kStrategyS12, 0xc4af268e81589da1ull},
-      {"resnet50", kStrategyS123, 0x5a3f2285ede15993ull},
-      {"resnet50", kStrategyAll, 0x5a3f2285ede15993ull},
+      {"resnet50", kStrategyS123, 0x302d36c8b470fdcdull},
+      {"resnet50", kStrategyAll, 0x302d36c8b470fdcdull},
       {"dcgan", kStrategyS12, 0x3e58ea4f87d0701dull},
-      {"dcgan", kStrategyS123, 0x38626905a9fb8c04ull},
-      {"dcgan", kStrategyAll, 0xacc9c04dba4d4bf8ull},
+      {"dcgan", kStrategyS123, 0xf3798c46699510f5ull},
+      {"dcgan", kStrategyAll, 0x377401ad10213600ull},
       {"inception_v3", kStrategyS12, 0x488792c0420de51dull},
-      {"inception_v3", kStrategyS123, 0xc0defc23abfa385bull},
-      {"inception_v3", kStrategyAll, 0xe36549edcc3e315cull},
+      {"inception_v3", kStrategyS123, 0x6b95abd942a7b8cfull},
+      {"inception_v3", kStrategyAll, 0x75294bd609a0036eull},
       {"lstm", kStrategyS12, 0xa089f7bc69e733e5ull},
-      {"lstm", kStrategyS123, 0xe5ead9cdfdb7b6c5ull},
-      {"lstm", kStrategyAll, 0x13c9055d5e540483ull},
+      {"lstm", kStrategyS123, 0x65c43b7636339207ull},
+      {"lstm", kStrategyAll, 0xe16b1b98fcc085d1ull},
   };
   for (const Case& c : cases) {
     const Graph g = build_model(c.model);
@@ -286,8 +288,92 @@ TEST(ScheduleIdentity, SimSchedulesArePinned) {
   for (int step = 0; step < 2; ++step)
     d.add(rt.run_step_multi({&ga, &gb, &gc},
                             TenantSet::slots(3, {1.0, 2.0, 4.0})));
-  EXPECT_EQ(hex(d.value()), hex(0x44e06e40de9b7d8dull))
+  EXPECT_EQ(hex(d.value()), hex(0xa1802e042c721000ull))
       << "3-tenant weighted step";
+}
+
+// The interference record under co-location: four fleet models co-run step
+// after step. Every (tenant, op) endpoint keeps at most kMaxBadPartners
+// partners, so the record is bounded by the endpoints it can have, and
+// once the co-run repeats it stops growing (the uncapped record grew from
+// ~3,700 to ~8,200 pairs over eight such steps and kept growing).
+TEST(InterferenceRecord, StaysBoundedAndFlatOverFleetCoRuns) {
+  std::vector<Graph> graphs;
+  for (const char* m : {"resnet50_host", "resnet101", "resnet152",
+                        "incep_resnet"}) {
+    graphs.push_back(models::zoo_find(m)->build(2));
+  }
+  std::vector<const Graph*> tenants;
+  for (const Graph& g : graphs) tenants.push_back(&g);
+  Runtime rt(MachineSpec::knl());
+  rt.profile_multi(tenants);
+  std::vector<std::size_t> pairs;
+  for (int step = 0; step < 10; ++step) {
+    (void)rt.run_step_multi(tenants, TenantSet::slots(tenants.size()));
+    pairs.push_back(rt.policy().recorded_bad_pairs());
+    const std::size_t endpoints = tenants.size() * rt.policy().arena_size();
+    EXPECT_LE(pairs.back(), endpoints * AdmissionPolicy::kMaxBadPartners)
+        << "step " << step;
+  }
+  ASSERT_GT(pairs[3], 0u);
+  for (std::size_t step = 4; step < pairs.size(); ++step) {
+    EXPECT_LE(pairs[step], pairs[3] + pairs[3] / 10) << "step " << step;
+  }
+}
+
+// A recorded pair only reorders launches; it never holds cores idle, so
+// the recorder must not cost the step it learns from. Steps 2-8 (the first
+// step learns) of the paper models under S1-3 and S1-4, the fuzz graph the
+// uncapped record slowed by 25%, and a 4-tenant fleet co-run (makespan).
+// The skip order still perturbs a schedule either way, by at most 2.2%
+// here, so the bound is 3%, not exact.
+TEST(InterferenceRecord, RecorderNeverSlowsAStepByMoreThanThreePercent) {
+  constexpr double kTolerance = 1.03;
+  const auto steps = [](const std::vector<const Graph*>& graphs,
+                        unsigned strategies, bool recorder) {
+    RuntimeOptions opt;
+    opt.strategies = strategies;
+    opt.interference_recorder = recorder;
+    Runtime rt(MachineSpec::knl(), opt);
+    rt.profile_multi(graphs);
+    std::vector<double> makespan;
+    for (int step = 0; step < 8; ++step) {
+      double m = 0.0;
+      for (const StepResult& r :
+           rt.run_step_multi(graphs, TenantSet::slots(graphs.size()))) {
+        m = std::max(m, r.time_ms);
+      }
+      makespan.push_back(m);
+    }
+    return makespan;
+  };
+  const auto check = [&](const std::vector<const Graph*>& graphs,
+                         unsigned strategies, const std::string& what) {
+    const auto on = steps(graphs, strategies, true);
+    const auto off = steps(graphs, strategies, false);
+    for (std::size_t s = 1; s < on.size(); ++s) {
+      EXPECT_LE(on[s], off[s] * kTolerance) << what << " step " << s + 1;
+    }
+  };
+
+  for (const char* m : {"resnet50", "dcgan", "inception_v3", "lstm"}) {
+    const Graph g = build_model(m);
+    check({&g}, kStrategyS123, std::string(m) + " S1-3");
+    check({&g}, kStrategyAll, std::string(m) + " S1-4");
+  }
+  testing::FuzzGraphParams params;
+  params.min_nodes = params.max_nodes = 1000;
+  params.max_dim = 6;
+  const Graph fuzz = testing::fuzz_graph(/*seed=*/2026, params);
+  check({&fuzz}, kStrategyAll, "fuzz_graph(2026)");
+
+  std::vector<Graph> fleet;
+  for (const char* m : {"resnet50_host", "resnet101", "resnet152",
+                        "incep_resnet"}) {
+    fleet.push_back(models::zoo_find(m)->build(2));
+  }
+  check({&fleet[0], &fleet[1], &fleet[2], &fleet[3]}, kStrategyAll,
+        "4-tenant fleet");
 }
 
 // FIFO schedule identity: pins the simulated FIFO baseline (every launch

@@ -124,18 +124,17 @@ TEST_F(SloFloorsTest, LatencyTenantIsVisitedBeforeBatch) {
 }
 
 TEST_F(SloFloorsTest, FloorReservationNarrowsBatchPicks) {
-  // Slot 0 latency (floor 12) holds 2 cores and its only ready op is
-  // blocked by a recorded bad pair with the running op; slot 1 batch wants
-  // a conv whose narrowest launch is 12 wide. Idle = 16, reservation =
-  // min(12 - 2, idle - 1) = 10, usable = 6 < 12 — the floor visibly denies
-  // the wide batch pick, keeping the latency tenant's cores free for its
-  // next request.
+  // Slot 0 latency (floor 12) holds 2 cores and its only ready op is a
+  // layout op whose default width (68) is wider than
+  // the 16 idle ones — and no other slot holds cores, so it waits for the
+  // drain; slot 1 batch wants a conv whose narrowest launch is 12 wide.
+  // Idle = 16, reservation = min(12 - 2, idle - 1) = 10, usable = 6 < 12 —
+  // the floor visibly denies the wide batch pick, keeping the latency
+  // tenant's cores free for its next request.
   AdmissionPolicy p = make_policy();
   p.configure_tenants(two_slots(/*floor0=*/12, /*floor1=*/0));
-  p.record_interference(TenantOpKey{10, OpKey::of(graph_.node(1))},
-                        {TenantOpKey{10, OpKey::of(graph_.node(2))}});
 
-  const ReadyQueue r0{1}, r1{3};
+  const ReadyQueue r0{0}, r1{3};
   const std::vector<TenantReadyView> tenants = {{&graph_, &r0},
                                                 {&graph_, &r1}};
   const auto running = std::vector<RunningOpView>{
@@ -148,8 +147,6 @@ TEST_F(SloFloorsTest, FloorReservationNarrowsBatchPicks) {
   // reservation, not the machine state.
   AdmissionPolicy q = make_policy();
   q.configure_tenants(two_slots(0, 0));
-  q.record_interference(TenantOpKey{10, OpKey::of(graph_.node(1))},
-                        {TenantOpKey{10, OpKey::of(graph_.node(2))}});
   const auto wide = launch_one(q, tenants, 16, running);
   ASSERT_TRUE(wide.has_value());
   EXPECT_EQ(wide->tenant, 1u);
