@@ -132,6 +132,7 @@ void AdmissionPolicy::attach_metrics(obs::Registry* reg,
       reg->counter(qual("policy_badpair_overrides_total"));
   telem_.overlay_grants = reg->counter(qual("policy_overlay_grants_total"));
   telem_.heavy_fallbacks = reg->counter(qual("policy_heavy_fallbacks_total"));
+  telem_.layout_coruns = reg->counter(qual("policy_layout_corun_total"));
   telem_.decision_ms = reg->histogram(qual("policy_decision_ms"));
   rebuild_deficit_gauges();
 }
@@ -188,6 +189,7 @@ const AdmissionPolicy::GraphBinding& AdmissionPolicy::bind(std::size_t t,
     rec.choice = controller_.choice_for(node);
     rec.predicted_ms = controller_.predicted_time_ms(node);
     rec.serial_ms = controller_.serial_time_ms(node);
+    rec.layout = !op_kind_tunable(node.kind);
 
     std::vector<Candidate> cands =
         controller_.candidates_for(node, options_.num_candidates);
@@ -492,6 +494,11 @@ std::optional<AdmissionDecision> AdmissionPolicy::pick_for_tenant(
                            bad_pair_count_ != 0;
   const bool has_skip = !skip.empty();
   const std::size_t id = stable_id(tenant);
+  // Another slot holds cores: a layout op need not wait for the drain.
+  bool beside_other = false;
+  for (std::size_t s = 0; s < running.held.size() && !beside_other; ++s) {
+    beside_other = s != tenant && running.held[s] > 0;
+  }
 
   // Telemetry accumulates in locals and flushes once per walk, so the
   // failing-scan loop stays branch-cheap whether or not metrics are on.
@@ -540,6 +547,20 @@ std::optional<AdmissionDecision> AdmissionPolicy::pick_for_tenant(
     d.op_token = node.op;
     return d;
   };
+  // A layout op's default width waits for an empty machine only while no
+  // other slot is working; beside one it runs on the idle cores, capped
+  // as the heavy fallback caps, if it passes the throughput guard.
+  const auto capped_layout =
+      [&](std::size_t pos,
+          const BoundNode& node) -> std::optional<AdmissionDecision> {
+    if (!node.layout || !beside_other || node.min_threads <= idle_cores ||
+        node.choice.time_ms > bound)
+      return std::nullopt;
+    AdmissionDecision d = decide(pos, node, node.choice);
+    d.candidate.threads = idle_cores;
+    d.layout_capped = true;
+    return d;
+  };
 
   for (std::size_t pos = 0; pos < ready.size(); ++pos) {
     if (has_skip && position_skipped(skip, pos)) continue;
@@ -553,6 +574,8 @@ std::optional<AdmissionDecision> AdmissionPolicy::pick_for_tenant(
           reject_stamp_[node.op] != walk_id_) {
         if (const Candidate* c = best_of(node)) {
           *paired = decide(pos, node, *c);
+        } else if (auto capped = capped_layout(pos, node)) {
+          *paired = capped;
         } else {
           reject_stamp_[node.op] = walk_id_;
         }
@@ -563,6 +586,10 @@ std::optional<AdmissionDecision> AdmissionPolicy::pick_for_tenant(
       if (stats != nullptr) stats->guard_fallbacks += node.guard_rewrites;
       ++n_quick;
       continue;
+    }
+    if (auto capped = capped_layout(pos, node)) {
+      flush_telemetry();
+      return capped;
     }
 
     // O(1) rejection on failing scans: no menu entry can fit fewer cores
@@ -665,6 +692,8 @@ std::optional<MultiAdmissionDecision> AdmissionPolicy::pick_once(
                                 &paired);
     if (pick.has_value()) {
       charge(t, pick->candidate);
+      if (pick->layout_capped && telem_.reg != nullptr)
+        telem_.layout_coruns->inc();
       return MultiAdmissionDecision{t, *pick};
     }
     if (!had_paired && paired.has_value()) paired_tenant = t;
@@ -675,7 +704,10 @@ std::optional<MultiAdmissionDecision> AdmissionPolicy::pick_once(
     // admissible, co-running the pair beats leaving the cores idle.
     if (!paired.has_value()) return std::nullopt;  // wait for a completion
     charge(paired_tenant, paired->candidate);
-    if (telem_.reg != nullptr) telem_.badpair_overrides->inc();
+    if (telem_.reg != nullptr) {
+      telem_.badpair_overrides->inc();
+      if (paired->layout_capped) telem_.layout_coruns->inc();
+    }
     return MultiAdmissionDecision{paired_tenant, *paired};
   }
 

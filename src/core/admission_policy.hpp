@@ -139,6 +139,10 @@ struct AdmissionDecision {
   /// True when the machine was empty and nothing fit: the most
   /// time-consuming ready op runs, capped to the idle width.
   bool heavy_fallback = false;
+  /// True when a layout op (one the runtime cannot tune) whose default
+  /// width does not fit launched capped to the idle width, beside another
+  /// slot's in-flight work.
+  bool layout_capped = false;
   /// Dense policy-arena id of the picked op; hand it back via
   /// RunningOpView::op_token while the op runs to spare the arena lookup.
   std::uint32_t op_token = kNoOpToken;
@@ -330,6 +334,8 @@ class AdmissionPolicy {
     Candidate choice;               // S1/S2 solo decision
     double predicted_ms = 0.0;
     double serial_ms = 0.0;
+    /// A layout op (!op_kind_tunable): its menu is the default width alone.
+    bool layout = false;
     /// Menu-wide minima, for O(1) rejection on the walk's failing scans: if
     /// min_threads exceeds the idle width, or min_time_ms outlasts the
     /// guard bound, NO menu entry can be admissible.
@@ -444,7 +450,10 @@ class AdmissionPolicy {
   /// shifts it past the earlier picks before handing it to the caller.
   /// Bad-paired ops are passed over; when `paired` is non-null and still
   /// empty, the first of them that passes every other check is stored
-  /// there (pick_once's last resort before leaving cores idle).
+  /// there (pick_once's last resort before leaving cores idle). A layout
+  /// op whose default width does not fit launches capped to `idle_cores`
+  /// when another slot holds cores (the same cap as the heavy fallback);
+  /// capped picks never enter the decision cache.
   std::optional<AdmissionDecision> pick_for_tenant(
       std::size_t tenant, const GraphBinding& binding,
       const ReadyQueue& ready, int idle_cores, const RunningScratch& running,
@@ -517,6 +526,7 @@ class AdmissionPolicy {
     obs::Counter* badpair_overrides = nullptr;
     obs::Counter* overlay_grants = nullptr;
     obs::Counter* heavy_fallbacks = nullptr;
+    obs::Counter* layout_coruns = nullptr;
     obs::Histogram* decision_ms = nullptr;
   };
   Telemetry telem_;

@@ -630,5 +630,93 @@ TEST_F(AdmissionPolicyTest, StrategyMaskDisablesCorunAndOverlay) {
   EXPECT_EQ(d->ready_pos, 0u);
 }
 
+// --- layout ops beside other jobs ------------------------------------------
+// Node 0 is an InputConversion: a layout op the runtime cannot tune, whose
+// only launch is the machine's default width (68 cores on KNL).
+
+TEST_F(AdmissionPolicyTest, LayoutOpLaunchesCappedBesideAnotherSlot) {
+  AdmissionPolicy p = make_policy();
+  obs::Registry reg;
+  p.attach_metrics(&reg);
+  p.configure_tenants(TenantSet::slots(2));
+  RunningOpView conv = running_view(1, 1e6);
+  conv.tenant = 0;
+  conv.threads = 28;
+  const ReadyQueue none, layout{0};
+  const auto d =
+      launch_multi(p, {{&graph_, &none}, {&graph_, &layout}}, 40, {conv});
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->tenant, 1u);
+  EXPECT_EQ(d->decision.candidate.threads, 40);
+  EXPECT_TRUE(d->decision.layout_capped);
+  EXPECT_FALSE(d->decision.heavy_fallback);
+  EXPECT_EQ(reg.counter("policy_layout_corun_total")->value(), 1u);
+}
+
+TEST_F(AdmissionPolicyTest, LayoutOpWaitsForTheDrainBesideItsOwnSlot) {
+  // One slot: the layout op waits until its own running op drains.
+  AdmissionPolicy p = make_policy();
+  RunningOpView conv = running_view(1, 1e6);
+  conv.threads = 28;
+  EXPECT_FALSE(launch(p, {0}, 40, {conv}).has_value());
+
+  // Two slots, but the only cores held are the layout op's own slot's.
+  p.configure_tenants(TenantSet::slots(2));
+  conv.tenant = 1;
+  const ReadyQueue none, layout{0};
+  EXPECT_FALSE(
+      launch_multi(p, {{&graph_, &none}, {&graph_, &layout}}, 40, {conv})
+          .has_value());
+  // On an empty machine it runs at its default width, as before.
+  const auto d = launch(p, {0}, 68, {});
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->candidate.threads, 68);
+  EXPECT_FALSE(d->layout_capped);
+}
+
+TEST_F(AdmissionPolicyTest, LatencyFloorNarrowsACappedLayoutOp) {
+  // Slot 0 is latency-critical (floor 12), holds 2 cores and has a ready
+  // layout op of its own that must wait (no other slot holds cores). Slot
+  // 1's layout op runs beside slot 0, on the idle cores minus the
+  // reservation: 40 - min(12 - 2, 39) = 30.
+  const ReadyQueue layout0{0}, layout1{0};
+  const std::vector<TenantReadyView> tenants = {{&graph_, &layout0},
+                                                {&graph_, &layout1}};
+  RunningOpView held = running_view(1, 1e6);
+  held.tenant = 0;
+  held.threads = 2;
+  for (const int floor : {12, 0}) {
+    AdmissionPolicy p = make_policy();
+    TenantSet set = TenantSet::slots(2);
+    set.floors = {floor, 0};
+    p.configure_tenants(set);
+    const auto d = launch_multi(p, tenants, 40, {held});
+    ASSERT_TRUE(d.has_value()) << "floor " << floor;
+    EXPECT_EQ(d->tenant, 1u);
+    EXPECT_EQ(d->decision.candidate.threads, floor == 12 ? 30 : 40);
+  }
+}
+
+TEST_F(AdmissionPolicyTest, CappedLayoutPickIsNeverReplayedFromTheCache) {
+  AdmissionPolicy p = make_policy();
+  p.configure_tenants(TenantSet::slots(2));
+  const ReadyQueue none, layout{0};
+  const std::vector<TenantReadyView> tenants = {{&graph_, &none},
+                                                {&graph_, &layout}};
+  RunningOpView conv = running_view(1, 1e6);
+  conv.tenant = 0;
+  conv.threads = 28;
+  const std::size_t cached = p.decision_cache_entries();
+  ASSERT_TRUE(launch_multi(p, tenants, 40, {conv}).has_value());
+  // Capped picks stay out of the cache altogether.
+  EXPECT_EQ(p.decision_cache_entries(), cached);
+
+  // Same tenant, op and idle width, but the only running op is now the
+  // layout op's own slot's: the capped pick must not come back.
+  conv.tenant = 1;
+  EXPECT_FALSE(launch_multi(p, tenants, 40, {conv}).has_value());
+  EXPECT_EQ(p.decision_cache_entries(), cached);
+}
+
 }  // namespace
 }  // namespace opsched
