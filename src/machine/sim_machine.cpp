@@ -104,25 +104,37 @@ void SimMachine::recompute_rates() {
 
   // Bandwidth pressure is global: each co-runner contributes its memory
   // intensity scaled by the share of the chip it occupies.
-  for (RunningTask& t : tasks_) {
+  std::vector<double> contribution(tasks_.size());
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    contribution[i] =
+        tasks_[i].mem_intensity *
+        (static_cast<double>(tasks_[i].cores.count()) / total_cores);
+  }
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
     double pressure = 0.0;
-    for (const RunningTask& o : tasks_) {
-      if (o.id == t.id) continue;
-      pressure += o.mem_intensity *
-                  (static_cast<double>(o.cores.count()) / total_cores);
+    for (std::size_t o = 0; o < tasks_.size(); ++o) {
+      if (o != i) pressure += contribution[o];
     }
-    t.rate = 1.0 / model_.interference_factor(pressure);
+    tasks_[i].rate = 1.0 / model_.interference_factor(pressure);
   }
 
   if (tasks_.size() < 2) return;
 
   // Per-core capacity sharing between distinct teams. Demand weight of a
   // team is its compute fraction (floored) times the hardware contexts it
-  // puts on the core.
+  // puts on the core. Only cores held by two or more teams share; every
+  // other core runs its team at full speed.
+  CoreSet seen(ncores);
+  CoreSet shared(ncores);
+  for (const RunningTask& t : tasks_) {
+    shared = shared.union_with(seen.intersect(t.cores));
+    seen = seen.union_with(t.cores);
+  }
+  if (shared.count() == 0) return;
   std::vector<double> share_sum(tasks_.size(), 0.0);
   std::vector<int> shared_cores(tasks_.size(), 0);
   std::vector<std::size_t> on_core;
-  for (std::size_t c = 0; c < ncores; ++c) {
+  for (const std::size_t c : shared.to_vector()) {
     on_core.clear();
     int contexts = 0;
     for (std::size_t i = 0; i < tasks_.size(); ++i) {
@@ -131,7 +143,6 @@ void SimMachine::recompute_rates() {
         contexts += tasks_[i].contexts_per_core;
       }
     }
-    if (on_core.size() < 2) continue;  // exclusive core: full speed
     const double capacity =
         spec_.multi_team_capacity(static_cast<std::size_t>(contexts));
     double weight_sum = 0.0;

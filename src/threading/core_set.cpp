@@ -1,5 +1,6 @@
 #include "threading/core_set.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <sstream>
 #include <stdexcept>
@@ -11,8 +12,18 @@ CoreSet::CoreSet(std::size_t capacity)
 
 CoreSet CoreSet::range(std::size_t capacity, std::size_t first,
                        std::size_t count) {
+  if (first + count > capacity)
+    throw std::out_of_range("CoreSet::add: core id beyond capacity");
   CoreSet s(capacity);
-  for (std::size_t i = 0; i < count; ++i) s.add(first + i);
+  // Whole words at a time: the simulator builds the full set on every
+  // idle-core query.
+  for (std::size_t c = first, end = first + count; c < end;) {
+    const std::size_t bit = c % 64;
+    const std::size_t n = std::min<std::size_t>(64 - bit, end - c);
+    const std::uint64_t ones = n == 64 ? ~0ULL : (1ULL << n) - 1;
+    s.words_[c / 64] |= ones << bit;
+    c += n;
+  }
   return s;
 }
 
@@ -93,9 +104,9 @@ bool CoreSet::is_subset_of(const CoreSet& other) const {
 CoreSet CoreSet::take_lowest(std::size_t n) const {
   CoreSet out(capacity_);
   std::size_t taken = 0;
-  for (std::size_t c = 0; c < capacity_ && taken < n; ++c) {
-    if (contains(c)) {
-      out.add(c);
+  for (std::size_t i = 0; i < words_.size() && taken < n; ++i) {
+    for (std::uint64_t w = words_[i]; w != 0 && taken < n; w &= w - 1) {
+      out.words_[i] |= w & (~w + 1);  // lowest remaining member
       ++taken;
     }
   }
