@@ -37,11 +37,12 @@ double median(std::vector<double> v) {
   return v.empty() ? 0.0 : v[v.size() / 2];
 }
 
-/// The simulated-step section: `steps` consecutive run_step_multi steps per
+/// The simulated-step section: eight consecutive run_step_multi steps per
 /// (size, recorder) pair, reporting the median wall ms per step and the
-/// last step's simulated ms and recorded pairs (the record's growth shows
-/// as a drift between the first and last step).
-void run_sim_steps(Context& ctx, int steps) {
+/// last step's simulated ms and recorded pairs (a record that keeps
+/// growing shows as a drift between the first and last step).
+void run_sim_steps(Context& ctx) {
+  constexpr int kSteps = 8;
   TablePrinter table({"ops", "recorder", "wall ms/step", "sim ms (last)",
                       "pairs"});
   for (const int nodes : {250, 1000, 2000}) {
@@ -57,7 +58,7 @@ void run_sim_steps(Context& ctx, int steps) {
       rt.profile(g);
       std::vector<double> wall;
       double sim_ms = 0.0;
-      for (int s = 0; s < steps; ++s) {
+      for (int s = 0; s < kSteps; ++s) {
         const double t0 = wall_time_ms();
         sim_ms = rt.run_step_multi({&g}, TenantSet::slots(1))[0].time_ms;
         wall.push_back(wall_time_ms() - t0);
@@ -65,16 +66,17 @@ void run_sim_steps(Context& ctx, int steps) {
       const std::size_t pairs = rt.policy().recorded_bad_pairs();
       const std::string tag = "/n=" + std::to_string(nodes) +
                               (recorder ? "/rec=on" : "/rec=off");
-      ctx.metric("sim_step_wall_ms" + tag, median(wall), "ms");
-      ctx.metric("sim_step_ms" + tag, sim_ms, "ms");
+      ctx.metric("sim_step_wall_ms" + tag, median(wall), "ms",
+                 Direction::kInfo);
+      ctx.metric("sim_step_ms" + tag, sim_ms, "ms", Direction::kInfo);
       ctx.metric("sim_recorded_pairs" + tag, static_cast<double>(pairs),
-                 "count");
+                 "count", Direction::kInfo);
       table.add_row({std::to_string(nodes), recorder ? "on" : "off",
                      fmt_double(median(wall), 2), fmt_double(sim_ms, 2),
                      std::to_string(pairs)});
     }
   }
-  ctx.out() << "\nSimulated KNL steps of the fuzz graph (" << steps
+  ctx.out() << "\nSimulated KNL steps of the fuzz graph (" << kSteps
             << " consecutive steps each):\n";
   table.print(ctx.out());
 }
@@ -150,7 +152,7 @@ void run(Context& ctx) {
                "dispatcher's share of the step — the budget the hot-path "
                "rebuild defends.\n";
 
-  run_sim_steps(ctx, std::max(1, ctx.param_int("sim_steps", 8)));
+  run_sim_steps(ctx);
 }
 
 }  // namespace
@@ -162,8 +164,7 @@ void register_micro_dispatch(Registry& reg) {
   b.description =
       "admission-decision latency and scheduler overhead on 1000-op graphs";
   b.default_params = {
-      {"nodes", "1000"}, {"cores", "4"},     {"steps", "3"},
-      {"batch", "4"},    {"sim_steps", "8"}};
+      {"nodes", "1000"}, {"cores", "4"}, {"steps", "3"}, {"batch", "4"}};
   b.fn = run;
   reg.add(std::move(b));
 }
