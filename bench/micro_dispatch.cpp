@@ -1,8 +1,8 @@
 // Micro-benchmark of the scheduler hot path: what one admission decision
 // costs the dispatcher on a thousand-op graph, and what fraction of a real
 // step that overhead is. This is the regression harness for the flat-arena
-// policy rebuild (dense op ids, open-addressed decision cache, sorted
-// bad-pair probes, batched decisions, sharded completion posting):
+// policy rebuild (dense op ids, open-addressed decision cache, bad-pair
+// adjacency map, batched decisions, sharded completion posting):
 //   ns_per_launch       dispatcher decision time / ops launched — the
 //                       per-launch cost of the AdmissionPolicy walk itself
 //   sched_overhead_pct  decision time as % of step wall-clock — the
