@@ -23,8 +23,8 @@
 // adjacency map from each (stable tenant id, arena op) endpoint to its
 // recorded partners, so recording and stamping cost O(1) per pair.
 // Bindings are invalidated by
-// the controller's build generation, so re-profiling or rebuild_decisions
-// is picked up exactly as if everything were recomputed per call.
+// the controller's build generation, so every rebuild of the decisions is
+// picked up exactly as if everything were recomputed per call.
 //
 // Multi-tenancy: the policy admits ops from N independent ready queues (one
 // per co-located training job) through the same Strategy 3 candidate walk,

@@ -13,10 +13,6 @@ Candidate ConcurrencyController::default_choice() const {
   return Candidate{default_width_, AffinityMode::kSpread, 0.0};
 }
 
-void ConcurrencyController::build(const Graph& g) {
-  build(std::vector<const Graph*>{&g});
-}
-
 void ConcurrencyController::build(const std::vector<const Graph*>& graphs) {
   ++generation_;
   per_kind_.clear();

@@ -19,17 +19,14 @@ class ConcurrencyController {
   ConcurrencyController(const PerfDatabase& db, RuntimeOptions options,
                         int default_width);
 
-  /// Precomputes decisions for every node in `g`:
+  /// Precomputes decisions for every node of the UNION of `graphs` (co-
+  /// located jobs share one controller, so Strategy 2 consolidates each
+  /// kind across every tenant's instances). Replaces previous decisions:
   ///  - Strategy 1 (if enabled): per-(kind, shape) optimum from its curve.
   ///  - Strategy 2 (if enabled): per-kind consolidation onto the optimum of
   ///    the most time-consuming instance of the kind.
   ///  - Neither: every op gets default_width() (the recommendation).
   /// Non-tunable kinds always get default_width().
-  void build(const Graph& g);
-
-  /// Multi-tenant build: decisions over the UNION of several graphs' nodes
-  /// (co-located jobs share one controller, so Strategy 2 consolidates each
-  /// kind across every tenant's instances). Replaces previous decisions.
   void build(const std::vector<const Graph*>& graphs);
 
   /// The width/mode this op will use when run alone (S1/S2 decision).
@@ -56,7 +53,7 @@ class ConcurrencyController {
 
   /// Monotonic build counter, bumped by every build(). Consumers that cache
   /// derived decisions (AdmissionPolicy's per-graph bindings) compare it to
-  /// detect that a re-profile/rebuild invalidated what they precomputed.
+  /// detect that a rebuild invalidated what they precomputed.
   std::uint64_t generation() const noexcept { return generation_; }
 
  private:

@@ -14,6 +14,15 @@ namespace {
 
 bool is_overlay(LaunchKind kind) { return kind == LaunchKind::kOverlay; }
 
+std::vector<const Graph*> graphs_of(
+    const std::vector<HostGraphProgram*>& programs) {
+  std::vector<const Graph*> graphs;
+  graphs.reserve(programs.size());
+  for (const HostGraphProgram* program : programs)
+    graphs.push_back(&program->graph());
+  return graphs;
+}
+
 /// The simulated machine as a dispatch substrate: virtual clock, one
 /// completion per wait, interference judged against the solo duration.
 class SimSubstrate final : public DispatchSubstrate {
@@ -146,6 +155,9 @@ ProfilingReport Runtime::profile(const Graph& g) {
 ProfilingReport Runtime::profile_graphs(
     const std::vector<const Graph*>& graphs, const HillClimbParams& params,
     const NodeMeasureFn& measure) {
+  // A curve added below changes what a build over the recorded graphs
+  // decides, so a profile that throws part-way leaves no record behind.
+  built_over_.clear();
   ProfilingReport report;
   const HillClimbProfiler profiler(params);
   std::size_t max_samples_per_op = 0;
@@ -166,7 +178,14 @@ ProfilingReport Runtime::profile_graphs(
   }
   report.profiling_steps = max_samples_per_op;
   controller_->build(graphs);
+  built_over_ = graphs;
   return report;
+}
+
+void Runtime::decide_for(const std::vector<const Graph*>& graphs) {
+  if (graphs == built_over_) return;
+  controller_->build(graphs);
+  built_over_ = graphs;
 }
 
 ProfilingReport Runtime::profile_multi(
@@ -187,15 +206,12 @@ StepResult Runtime::run_step(const Graph& g) {
 
 std::vector<StepResult> Runtime::run_step_multi(
     const std::vector<const Graph*>& graphs, const TenantSet& set) {
+  decide_for(graphs);
   machine_.reset();
   SimSubstrate substrate(machine_);
   // One decision per round: the simulator's schedules are the reference
   // the paper's tables are regenerated from.
   return run_dispatch(*policy_, substrate, graphs, set, /*decision_batch=*/1);
-}
-
-void Runtime::rebuild_decisions(const std::vector<const Graph*>& graphs) {
-  controller_->build(graphs);
 }
 
 void Runtime::retire_tenant(std::size_t id) {
@@ -239,16 +255,12 @@ ProfilingReport Runtime::profile_host_multi(
   params.max_threads = static_cast<int>(pool.max_width());
   params.both_modes = false;  // the host pool has no tile topology
   const int reps = std::max(1, repeats);
-  std::vector<const Graph*> graphs;
-  graphs.reserve(programs.size());
-  for (HostGraphProgram* program : programs)
-    graphs.push_back(&program->graph());
   // The measurement is a REAL timed run of the node's bound kernel on a
   // real team of the sampled width — concurrency control on physical
   // hardware, the paper's actual setting. Tenants whose (kind, shape) keys
   // coincide share one curve: the kernel is the same work.
   return profile_graphs(
-      graphs, params,
+      graphs_of(programs), params,
       [&](std::size_t t, const Node& n, int threads, AffinityMode) {
         ThreadTeam& team = pool.team(static_cast<std::size_t>(threads));
         const double t0 = wall_time_ms();
@@ -258,12 +270,12 @@ ProfilingReport Runtime::profile_host_multi(
 }
 
 StepResult Runtime::run_step_host(HostGraphProgram& program) {
-  return std::move(
-      host_executor().run_step_multi({&program}, TenantSet::slots(1)).front());
+  return std::move(run_step_multi_host({&program}, TenantSet::slots(1)).front());
 }
 
 std::vector<StepResult> Runtime::run_step_multi_host(
     const std::vector<HostGraphProgram*>& programs, const TenantSet& set) {
+  decide_for(graphs_of(programs));
   return host_executor().run_step_multi(programs, set);
 }
 

@@ -16,6 +16,13 @@
 // Profiles land in the one PerfDatabase keyed by (kind, shapes), and the
 // two substrates' timescales differ wildly — use one Runtime per substrate
 // (or call reset-free profile()/profile_host() for disjoint graphs only).
+//
+// Decisions follow the step: every adaptive step runs on the Strategy 1/2
+// decisions built over exactly the graphs it steps. The Runtime remembers
+// the graph list it last built over (profiling sets it too) and rebuilds
+// from the curves already in the database whenever a step's list differs,
+// so profiling one model never leaves another model's step on the wrong
+// decisions.
 #pragma once
 
 #include <functional>
@@ -65,20 +72,23 @@ class Runtime {
   explicit Runtime(const MachineSpec& spec, RuntimeOptions options = {});
 
   /// Profiles every unique tunable op of `g` with the hill-climb model and
-  /// rebuilds the concurrency decisions. Idempotent per graph.
+  /// builds the concurrency decisions over `g`. Idempotent per graph.
   ProfilingReport profile(const Graph& g);
 
   /// Multi-tenant profiling: profiles every graph's unique ops (shared
-  /// (kind, shape) keys are profiled once across tenants) and rebuilds the
-  /// decisions over the union, so a later run_step_multi has choices for
-  /// every tenant's nodes.
+  /// (kind, shape) keys are profiled once across tenants) and builds the
+  /// decisions over the union, which controller() then shows.
   ProfilingReport profile_multi(const std::vector<const Graph*>& graphs);
 
   /// One adaptive training step (Strategies per options.strategies).
   StepResult run_step(const Graph& g);
 
   /// One CO-LOCATED adaptive step over N tenants' graphs on the simulated
-  /// machine (reset first): ops interleave across tenants under the
+  /// machine (reset first), on decisions built over exactly `graphs` (a
+  /// rebuild when they differ from the last build's graphs). Graphs are
+  /// compared by address, so profile a graph before its first step: that
+  /// builds over it, and a new graph at a freed graph's address is never
+  /// taken for the old one. Ops interleave across tenants under the
   /// weighted-deficit admission walk, one decision per round. Returns one
   /// StepResult per tenant, in input order (see run_dispatch); deterministic
   /// for fixed inputs. `set` names the tenants: the serving layer passes
@@ -87,13 +97,6 @@ class Runtime {
   /// gives the slot-indexed population.
   std::vector<StepResult> run_step_multi(
       const std::vector<const Graph*>& graphs, const TenantSet& set);
-
-  /// Rebuilds the Strategy 1/2 concurrency decisions over `graphs` from the
-  /// curves ALREADY in the database — no profiling. The serving layer calls
-  /// this whenever the set of co-resident jobs changes (every job's ops
-  /// were profiled at its admission; only the per-kind consolidation needs
-  /// refreshing over the new union).
-  void rebuild_decisions(const std::vector<const Graph*>& graphs);
 
   /// Forgets stable tenant id `id`'s learned scheduling state (decision
   /// cache, interference record, fairness deficit) on BOTH substrates'
@@ -114,25 +117,27 @@ class Runtime {
 
   /// Profiles every unique tunable op of `program`'s graph by TIMING REAL
   /// KERNEL RUNS on host thread teams (hill-climb over widths), then
-  /// rebuilds the concurrency decisions. Idempotent per graph. `repeats`
-  /// timed runs are averaged per sample point.
+  /// builds the concurrency decisions over it. Idempotent per graph.
+  /// `repeats` timed runs are averaged per sample point.
   ProfilingReport profile_host(HostGraphProgram& program, int repeats = 3);
 
   /// Multi-tenant host profiling: every program's unique ops timed on real
   /// teams (shared (kind, shape) keys profiled once across tenants), then
-  /// the decisions rebuilt over the union of the tenants' graphs.
+  /// the decisions built over the union of the tenants' graphs.
   ProfilingReport profile_host_multi(
       const std::vector<HostGraphProgram*>& programs, int repeats = 3);
 
   /// One adaptive host step (real threads, real kernels, Strategies per
-  /// options.strategies). time_ms is wall-clock; checksum is filled.
+  /// options.strategies) on decisions built over the program's graph, as
+  /// for run_step_multi. time_ms is wall-clock; checksum is filled.
   StepResult run_step_host(HostGraphProgram& program);
 
   /// One CO-LOCATED adaptive host step over N tenants (one program per
   /// training job, scheduled together on the shared host core map; see
-  /// HostCorunExecutor::run_step_multi). Returns one StepResult per tenant,
-  /// in input order, each with that tenant's makespan, consumed service
-  /// time, and private step checksum. `set` as for run_step_multi.
+  /// HostCorunExecutor::run_step_multi). Decisions and `set` as for
+  /// run_step_multi. Returns one StepResult per tenant, in input order,
+  /// each with that tenant's makespan, consumed service time, and private
+  /// step checksum.
   std::vector<StepResult> run_step_multi_host(
       const std::vector<HostGraphProgram*>& programs, const TenantSet& set);
 
@@ -171,10 +176,13 @@ class Runtime {
       std::size_t tenant, const Node& node, int threads, AffinityMode mode)>;
   /// The hill-climb pass both profile_multi and profile_host_multi run:
   /// every tunable op whose (kind, shape) key the database lacks is climbed
-  /// once with `measure`, then the decisions are rebuilt over the union.
+  /// once with `measure`, then the decisions are built over the union.
   ProfilingReport profile_graphs(const std::vector<const Graph*>& graphs,
                                  const HillClimbParams& params,
                                  const NodeMeasureFn& measure);
+  /// Builds the decisions over `graphs` unless the last build was over
+  /// exactly this list.
+  void decide_for(const std::vector<const Graph*>& graphs);
 
   RuntimeOptions options_;
   MachineSpec spec_;
@@ -182,6 +190,9 @@ class Runtime {
   SimMachine machine_;
   PerfDatabase db_;
   std::unique_ptr<ConcurrencyController> controller_;
+  /// The graphs the controller's decisions were last built over; only
+  /// compared, never dereferenced (a listed graph may be gone).
+  std::vector<const Graph*> built_over_;
   std::unique_ptr<AdmissionPolicy> policy_;
   std::unique_ptr<TeamPool> host_pool_;
   std::unique_ptr<HostCorunExecutor> host_executor_;

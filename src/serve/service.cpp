@@ -358,7 +358,6 @@ void SchedulerService::apply_cancels_locked() {
     if (job_state_terminal(state)) continue;
     if (state == JobState::kRunning) {
       resident_.erase(std::find(resident_.begin(), resident_.end(), id));
-      decisions_stale_ = true;
       ++reconfigurations_;
       if (telem_.reconfigurations != nullptr) telem_.reconfigurations->inc();
     } else {
@@ -406,7 +405,6 @@ void SchedulerService::admission_pass(std::unique_lock<std::mutex>& lk) {
           // unlocked region — the loop/drain handlers mutate shared state.
           lk.lock();
           ledger_.transition(id, JobState::kQueued, now_locked());
-          decisions_stale_ = true;  // the partial profile may have built
           throw;
         }
         // The virtual clock books profiling as free: replay determinism
@@ -422,9 +420,6 @@ void SchedulerService::admission_pass(std::unique_lock<std::mutex>& lk) {
         rec.profile_ms += profile_ms;
         rec.profiled_ops += report.unique_ops;
         if (telem_.profiled_jobs != nullptr) telem_.profiled_jobs->inc();
-        // Profiling rebuilt the controller's decisions over the candidate
-        // alone; the resident union must be restored before the next step.
-        decisions_stale_ = true;
         if (job.cancel_requested) {
           queue_.erase(std::find(queue_.begin(), queue_.end(), id));
           finish_job_locked(id, JobState::kCancelled);
@@ -448,7 +443,6 @@ void SchedulerService::admission_pass(std::unique_lock<std::mutex>& lk) {
         queue_.erase(std::find(queue_.begin(), queue_.end(), id));
         resident_.push_back(id);
         ledger_.transition(id, JobState::kRunning, now_locked());
-        decisions_stale_ = true;
         ++reconfigurations_;
         if (telem_.submitted != nullptr) {
           (job.spec.kind == JobKind::kInference ? telem_.admitted_inference
@@ -526,14 +520,6 @@ void SchedulerService::run_one_step(std::unique_lock<std::mutex>& lk) {
     // always satisfiable.
     set.floors.push_back(ledger_.at(id).width_floor);
   }
-  // Consolidation decisions are built over the union of the stepped
-  // graphs, so a different tenant subset or batch size forces a rebuild
-  // even when the resident set itself is unchanged.
-  bool rebuild = decisions_stale_ || stepped != last_stepped_ ||
-                 graphs != last_graphs_;
-  last_stepped_ = stepped;
-  last_graphs_ = graphs;
-  decisions_stale_ = false;
 
   lk.unlock();
   std::vector<StepResult> results;
@@ -545,12 +531,10 @@ void SchedulerService::run_one_step(std::unique_lock<std::mutex>& lk) {
         const double t0 = wall_time_ms();
         slot.profiled = profile_batch(*slot.job, slot.batch);
         slot.profile_ms = wall_time_ms() - t0;
-        rebuild = true;  // profiling built decisions over this graph alone
       }
       if (options_.substrate == Substrate::kHost)
         programs.push_back(slot.job->batches[slot.batch].program.get());
     }
-    if (rebuild) runtime_.rebuild_decisions(graphs);
     results = options_.substrate == Substrate::kHost
                   ? runtime_.run_step_multi_host(programs, set)
                   : runtime_.run_step_multi(graphs, set);
@@ -558,7 +542,6 @@ void SchedulerService::run_one_step(std::unique_lock<std::mutex>& lk) {
     // pump_cycle() must exit with the lock held whatever happens in the
     // unlocked region — the loop/drain handlers mutate shared state.
     lk.lock();
-    decisions_stale_ = true;
     throw;
   }
   lk.lock();
@@ -658,7 +641,6 @@ void SchedulerService::run_one_step(std::unique_lock<std::mutex>& lk) {
     const JobRecord& rec = ledger_.at(id);
     if (rec.steps_done >= rec.steps_total) {
       resident_.erase(std::find(resident_.begin(), resident_.end(), id));
-      decisions_stale_ = true;
       ++reconfigurations_;
       if (telem_.reconfigurations != nullptr) telem_.reconfigurations->inc();
       finish_job_locked(id, JobState::kCompleted);

@@ -15,6 +15,9 @@
 //     (kind, shape) keys already warm in the shared PerfDatabase are
 //     reused, so repeat shapes cost nothing (and a service warm-started
 //     from a saved database profiles nothing at all);
+//   - decisions follow the step: the Runtime builds each step's Strategy
+//     1/2 decisions over exactly the graphs that step runs, so a new
+//     tenant subset or batch size needs nothing from the service;
 //   - jobs keep their scheduler identity across reconfigurations: the
 //     JobId is the stable tenant id on the runtime's TenantSet path, so
 //     learned state and fairness deficits follow the job, and are retired
@@ -366,15 +369,6 @@ class SchedulerService : private Pump::Owner {
   std::vector<JobId> queue_;
   /// Resident (admitted, stepping) jobs, in admission order.
   std::vector<JobId> resident_;
-  /// Resident set changed (or a candidate was profiled, which clobbers the
-  /// controller's decisions): rebuild decisions before the next step.
-  bool decisions_stale_ = false;
-  /// The tenant subset the last step actually ran, and the graph each one
-  /// stepped (consolidation decisions are built over the UNION of the
-  /// stepped graphs, so a different subset or a different batch size
-  /// forces a rebuild even when the resident set is unchanged).
-  std::vector<JobId> last_stepped_;
-  std::vector<const Graph*> last_graphs_;
   /// The virtual service clock (kVirtual mode only); ms since construction.
   double vnow_ = 0.0;
   std::size_t steps_run_ = 0;

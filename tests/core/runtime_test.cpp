@@ -125,5 +125,33 @@ TEST(Runtime, StepResultStatsConsistent) {
   EXPECT_DOUBLE_EQ(r.mean_corun, r.trace.mean_corun());
 }
 
+// Figure 2's workflow: a step runs on the decisions the profiled model
+// gives for that step's own graph, whatever was profiled last.
+TEST(RuntimeTest, StepRunsOnDecisionsOverTheGraphsItSteps) {
+  const Graph resnet = build_resnet50();
+  const Graph lstm = build_lstm();
+
+  Runtime fresh(MachineSpec::knl());
+  fresh.profile(resnet);
+  const StepResult want = fresh.run_step(resnet);
+
+  Runtime rt(MachineSpec::knl());
+  rt.profile(resnet);
+  rt.profile(lstm);  // builds the decisions over lstm alone
+  const StepResult got = rt.run_step(resnet);
+
+  EXPECT_EQ(got.time_ms, want.time_ms);
+  ASSERT_EQ(got.trace.size(), want.trace.size());
+  for (std::size_t i = 0; i < got.trace.size(); ++i) {
+    const TraceEvent& g = got.trace.events()[i];
+    const TraceEvent& w = want.trace.events()[i];
+    EXPECT_EQ(g.time_ms, w.time_ms) << "event " << i;
+    EXPECT_EQ(g.is_launch, w.is_launch) << "event " << i;
+    EXPECT_EQ(g.node, w.node) << "event " << i;
+    EXPECT_EQ(g.corun_after, w.corun_after) << "event " << i;
+    if (HasFailure()) break;
+  }
+}
+
 }  // namespace
 }  // namespace opsched

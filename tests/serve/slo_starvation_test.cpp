@@ -76,7 +76,7 @@ class SloFloorsTest : public ::testing::Test {
     tiny.add_sample(AffinityMode::kSpread, 2, 0.6);
     db_.put(OpKey::of(graph_.node(5)), tiny);
     controller_.emplace(db_, options_, /*default_width=*/68);
-    controller_->build(graph_);
+    controller_->build({&graph_});
   }
 
   AdmissionPolicy make_policy() const {
