@@ -1,8 +1,8 @@
 // opsched_cli: command-line front end to the library.
 //
-//   opsched_cli profile  --model resnet50 [--interval 4] [--save db.txt]
+//   opsched_cli profile  --model resnet50 [--interval 4] [--save db.json]
 //   opsched_cli schedule --model dcgan [--strategies s12|s123|all]
-//                        [--steps 3] [--trace out.json] [--load db.txt]
+//                        [--steps 3] [--trace out.json] [--load db.json]
 //   opsched_cli grid     --model resnet50
 //   opsched_cli compare  --model inception_v3
 //   opsched_cli serve    [--substrate host|sim] [--jobs 8] [--corun 3]
@@ -11,8 +11,8 @@
 //   opsched_cli bench    [--list] [--filter a,b] [--repeats N] [--json FILE]
 //                        (same flags as the opsched_bench runner)
 //
-// Database files ending in .json use the schema-versioned JSON form, any
-// other suffix the one-line-per-sample text form.
+// Profile database files are schema-versioned JSON (PerfDatabase), read
+// and written whatever their suffix.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -46,7 +46,7 @@ int usage() {
          "          resnet50_host resnet101 resnet152 incep_resnet (deep "
          "zoo,\n          host-executable training graphs)\n"
          "  profile : hill-climb all unique ops, print chosen widths\n"
-         "            [--interval X] [--save FILE]  (.json = JSON schema)\n"
+         "            [--interval X] [--save FILE]  (JSON database)\n"
          "  schedule: run adaptive steps  [--strategies s12|s123|all]\n"
          "            [--steps N] [--trace FILE] [--load FILE]\n"
          "  grid    : Table-I style inter-op x intra-op sweep\n"
@@ -113,8 +113,8 @@ int cmd_profile(const Graph& g, const Flags& flags) {
   table.print(std::cout);
 
   if (flags.has("save")) {
-    const std::string path = flags.get("save", "profiles.db");
-    rt.database().save_file_auto(path);
+    const std::string path = flags.get("save", "profiles.json");
+    rt.database().save_file(path);
     std::cout << "profile database saved to " << path << " ("
               << rt.database().size() << " curves)\n";
   }
@@ -135,7 +135,7 @@ int cmd_serve(const Flags& flags) {
   if (flags.has("db")) {
     const std::string path = flags.get("db", "profiles.json");
     try {
-      rt.database().load_file_auto(path);
+      rt.database().load_file(path);
       std::cout << "warm start: " << rt.database().size()
                 << " profile curves loaded from " << path << "\n";
     } catch (const std::exception& e) {
@@ -195,7 +195,7 @@ int cmd_serve(const Flags& flags) {
 
   if (flags.has("save-db")) {
     const std::string path = flags.get("save-db", "profiles.json");
-    rt.database().save_file_auto(path);
+    rt.database().save_file(path);
     std::cout << "profile database saved to " << path << " ("
               << rt.database().size()
               << " curves) — pass --db to warm-start the next run\n";
@@ -221,8 +221,8 @@ int cmd_schedule(const Graph& g, const Flags& flags) {
   opt.strategies = parse_strategies(flags.get("strategies", "all"));
   Runtime rt(MachineSpec::knl(), opt);
   if (flags.has("load")) {
-    const std::string path = flags.get("load", "profiles.db");
-    rt.database().load_file_auto(path);
+    const std::string path = flags.get("load", "profiles.json");
+    rt.database().load_file(path);
     std::cout << rt.database().size() << " profile curves loaded from "
               << path << "\n";
   }

@@ -10,9 +10,8 @@ namespace opsched {
 
 namespace {
 
-/// Parses the curves of one JSON document (same validation rules as the
-/// text loader) into a fresh map, so a throw leaves the caller's database
-/// untouched.
+/// Parses the curves of one JSON document into a fresh map, so a throw
+/// leaves the caller's database untouched.
 std::map<OpKey, ProfileCurve> parse_json_curves(const std::string& text) {
   const json::JsonValue doc = json::parse(text);
   const int version =
@@ -61,10 +60,6 @@ std::map<OpKey, ProfileCurve> parse_json_curves(const std::string& text) {
   return loaded;
 }
 
-bool json_path(const std::string& path) {
-  return path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-}
-
 }  // namespace
 
 void PerfDatabase::put(const OpKey& key, ProfileCurve curve) {
@@ -91,56 +86,6 @@ std::size_t PerfDatabase::total_samples() const {
   std::size_t n = 0;
   for (const auto& [k, c] : curves_) n += c.total_samples();
   return n;
-}
-
-void PerfDatabase::save(std::ostream& out) const {
-  for (const auto& [key, curve] : curves_) {
-    for (AffinityMode mode : {AffinityMode::kSpread, AffinityMode::kShared}) {
-      for (const ProfilePoint& p : curve.samples(mode)) {
-        out << static_cast<int>(key.kind) << ' ' << key.shape_hash << ' '
-            << static_cast<int>(mode) << ' ' << p.threads << ' '
-            << p.time_ms << '\n';
-      }
-    }
-  }
-}
-
-void PerfDatabase::load(std::istream& in) {
-  std::map<OpKey, ProfileCurve> loaded;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    int kind_id = -1, mode_id = -1, threads = 0;
-    std::uint64_t shape_hash = 0;
-    double time_ms = 0.0;
-    if (!(ls >> kind_id >> shape_hash >> mode_id >> threads >> time_ms) ||
-        kind_id < 0 || kind_id >= static_cast<int>(kNumOpKinds) ||
-        (mode_id != 0 && mode_id != 1) || threads < 1 || time_ms <= 0.0) {
-      throw std::runtime_error("PerfDatabase::load: malformed line " +
-                               std::to_string(line_no));
-    }
-    const OpKey key{static_cast<OpKind>(kind_id), shape_hash};
-    loaded[key].add_sample(static_cast<AffinityMode>(mode_id), threads,
-                           time_ms);
-  }
-  curves_ = std::move(loaded);
-}
-
-void PerfDatabase::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out)
-    throw std::runtime_error("PerfDatabase::save_file: cannot open " + path);
-  save(out);
-}
-
-void PerfDatabase::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in)
-    throw std::runtime_error("PerfDatabase::load_file: cannot open " + path);
-  load(in);
 }
 
 std::string PerfDatabase::to_json() const {
@@ -178,52 +123,23 @@ void PerfDatabase::load_json(const std::string& text) {
   curves_ = parse_json_curves(text);
 }
 
-std::size_t PerfDatabase::merge_json(const std::string& text) {
-  std::map<OpKey, ProfileCurve> loaded = parse_json_curves(text);
-  std::size_t added = 0;
-  for (auto& [key, curve] : loaded) {
-    if (curves_.count(key) > 0) continue;  // live profile wins
-    curves_[key] = std::move(curve);
-    ++added;
-  }
-  return added;
-}
-
-void PerfDatabase::save_json_file(const std::string& path) const {
+void PerfDatabase::save_file(const std::string& path) const {
   std::ofstream out(path);
   if (!out)
-    throw std::runtime_error("PerfDatabase::save_json_file: cannot open " +
-                             path);
+    throw std::runtime_error("PerfDatabase::save_file: cannot open " + path);
   out << to_json();
   if (!out)
-    throw std::runtime_error("PerfDatabase::save_json_file: failed writing " +
+    throw std::runtime_error("PerfDatabase::save_file: failed writing " +
                              path);
 }
 
-void PerfDatabase::load_json_file(const std::string& path) {
+void PerfDatabase::load_file(const std::string& path) {
   std::ifstream in(path);
   if (!in)
-    throw std::runtime_error("PerfDatabase::load_json_file: cannot open " +
-                             path);
+    throw std::runtime_error("PerfDatabase::load_file: cannot open " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
   load_json(buf.str());
-}
-
-void PerfDatabase::save_file_auto(const std::string& path) const {
-  if (json_path(path)) {
-    save_json_file(path);
-  } else {
-    save_file(path);
-  }
-}
-
-void PerfDatabase::load_file_auto(const std::string& path) {
-  if (json_path(path)) {
-    load_json_file(path);
-  } else {
-    load_file(path);
-  }
 }
 
 }  // namespace opsched

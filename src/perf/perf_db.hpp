@@ -3,7 +3,6 @@
 // the stability property the paper's profiling step relies on.
 #pragma once
 
-#include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
@@ -52,38 +51,23 @@ class PerfDatabase {
   /// paper bounds at N <= C/x * 2 per op).
   std::size_t total_samples() const;
 
-  /// Persistence: a long-running training service profiles once and reuses
-  /// the database across jobs. One text line per sample:
-  ///   kind_id shape_hash mode threads time_ms
-  void save(std::ostream& out) const;
-  void load(std::istream& in);  // replaces current contents; throws on
-                                // malformed input
-  void save_file(const std::string& path) const;
-  void load_file(const std::string& path);
-
   /// Bumped whenever the JSON layout changes incompatibly; load_json
   /// rejects unknown versions instead of misparsing them.
   static constexpr int kJsonSchemaVersion = 1;
 
-  /// Schema-versioned JSON persistence (the format the scheduling service
-  /// warm-starts from — see docs/SERVING.md). shape_hash is serialised as a
-  /// decimal STRING: a JSON number is a double and would silently round
-  /// 64-bit hashes. `merge` semantics on load: load_json REPLACES the
-  /// contents (like load); merge_json keeps existing curves and only adds
-  /// keys not yet present — restart-warm-start over a partially profiled
-  /// database. Both throw std::runtime_error on malformed input or an
-  /// unsupported schema_version, leaving the database unchanged.
+  /// Persistence, in one schema-versioned JSON form: a long-running
+  /// service profiles once and warm-starts from the saved database (see
+  /// docs/SERVING.md). shape_hash is serialised as a decimal STRING (a JSON
+  /// number is a double and would silently round 64-bit hashes), and
+  /// time_ms at %.17g, so a round trip is exact. load_json and load_file
+  /// REPLACE the contents; they throw std::runtime_error on malformed
+  /// input or an unsupported schema_version, leaving the database
+  /// unchanged. The file helpers also throw when the file cannot be
+  /// opened or written.
   std::string to_json() const;
   void load_json(const std::string& text);
-  std::size_t merge_json(const std::string& text);  // returns curves added
-  void save_json_file(const std::string& path) const;
-  void load_json_file(const std::string& path);
-
-  /// save_file/load_file dispatching on the path suffix: ".json" uses the
-  /// schema-versioned JSON form, anything else the one-line-per-sample text
-  /// form (the CLI's --save/--load flags route through this).
-  void save_file_auto(const std::string& path) const;
-  void load_file_auto(const std::string& path);
+  void save_file(const std::string& path) const;
+  void load_file(const std::string& path);
 
  private:
   std::map<OpKey, ProfileCurve> curves_;

@@ -2,8 +2,6 @@
 // reloads the database across jobs.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "models/op_factory.hpp"
 #include "perf/perf_db.hpp"
 
@@ -21,69 +19,6 @@ PerfDatabase sample_db() {
   c2.add_sample(AffinityMode::kSpread, 8, 1.0);
   db.put(OpKey::of(fig1_backprop_filter()), c2);
   return db;
-}
-
-TEST(PerfDbIo, RoundTripPreservesEverything) {
-  const PerfDatabase db = sample_db();
-  std::stringstream buf;
-  db.save(buf);
-
-  PerfDatabase loaded;
-  loaded.load(buf);
-  EXPECT_EQ(loaded.size(), db.size());
-  EXPECT_EQ(loaded.total_samples(), db.total_samples());
-
-  const OpKey key = OpKey::of(fig1_conv2d());
-  ASSERT_TRUE(loaded.contains(key));
-  const ProfileCurve& curve = loaded.at(key);
-  EXPECT_DOUBLE_EQ(curve.predict(1, AffinityMode::kSpread), 10.0);
-  EXPECT_DOUBLE_EQ(curve.predict(5, AffinityMode::kSpread), 3.5);
-  EXPECT_DOUBLE_EQ(curve.predict(4, AffinityMode::kShared), 4.25);
-  EXPECT_EQ(curve.best().threads, 5);
-}
-
-TEST(PerfDbIo, LoadReplacesExistingContents) {
-  PerfDatabase db = sample_db();
-  std::stringstream buf;
-  sample_db().save(buf);
-  // Poison with an extra key, then reload.
-  ProfileCurve extra;
-  extra.add_sample(AffinityMode::kSpread, 2, 1.0);
-  db.put(OpKey{OpKind::kMatMul, 42}, extra);
-  EXPECT_EQ(db.size(), 3u);
-  db.load(buf);
-  EXPECT_EQ(db.size(), 2u);
-  EXPECT_FALSE(db.contains(OpKey{OpKind::kMatMul, 42}));
-}
-
-TEST(PerfDbIo, MalformedInputRejected) {
-  PerfDatabase db;
-  for (const char* bad : {
-           "not numbers at all",
-           "999 123 0 4 1.5",    // kind id out of range
-           "0 123 7 4 1.5",      // bad mode
-           "0 123 0 0 1.5",      // zero threads
-           "0 123 0 4 -1.0",     // negative time
-           "0 123 0 4",          // truncated
-       }) {
-    std::istringstream in(bad);
-    EXPECT_THROW(db.load(in), std::runtime_error) << bad;
-  }
-  // Blank lines are fine.
-  std::istringstream ok("\n0 123 0 4 1.5\n\n");
-  EXPECT_NO_THROW(db.load(ok));
-  EXPECT_EQ(db.size(), 1u);
-}
-
-TEST(PerfDbIo, FileHelpers) {
-  const std::string path = std::string(::testing::TempDir()) + "/profiles.db";
-  sample_db().save_file(path);
-  PerfDatabase loaded;
-  loaded.load_file(path);
-  EXPECT_EQ(loaded.size(), 2u);
-  EXPECT_THROW(sample_db().save_file("/no-such-dir-xyz/p.db"),
-               std::runtime_error);
-  EXPECT_THROW(loaded.load_file("/no-such-file-xyz.db"), std::runtime_error);
 }
 
 TEST(PerfDbJson, RoundTripPreservesEverything) {
@@ -159,48 +94,45 @@ TEST(PerfDbJson, RejectsMalformedAndWrongVersionLeavingDbUntouched) {
   EXPECT_EQ(db.size(), 2u);
 }
 
-TEST(PerfDbJson, MergeKeepsLiveCurvesAndAddsOnlyMissing) {
-  PerfDatabase warm = sample_db();  // the "restarted service" snapshot
-  const std::string snapshot = warm.to_json();
-
-  PerfDatabase db;  // freshly profiled with one overlapping, changed curve
-  ProfileCurve live;
-  live.add_sample(AffinityMode::kSpread, 3, 99.0);
-  db.put(OpKey::of(fig1_conv2d()), live);
-
-  const std::size_t added = db.merge_json(snapshot);
-  EXPECT_EQ(added, 1u);  // only the backprop-filter curve was missing
+TEST(PerfDbJson, LoadReplacesExistingContents) {
+  PerfDatabase db = sample_db();
+  ProfileCurve extra;
+  extra.add_sample(AffinityMode::kSpread, 2, 1.0);
+  db.put(OpKey{OpKind::kMatMul, 42}, extra);
+  EXPECT_EQ(db.size(), 3u);
+  db.load_json(sample_db().to_json());
   EXPECT_EQ(db.size(), 2u);
-  // The live (freshly measured) curve wins over the snapshot's.
-  EXPECT_DOUBLE_EQ(
-      db.at(OpKey::of(fig1_conv2d())).predict(3, AffinityMode::kSpread),
-      99.0);
+  EXPECT_FALSE(db.contains(OpKey{OpKind::kMatMul, 42}));
 }
 
-TEST(PerfDbJson, FileHelpersAndAutoDispatch) {
-  const std::string dir(::testing::TempDir());
-  const std::string json_path = dir + "/profiles.json";
-  const std::string text_path = dir + "/profiles.db";
-  sample_db().save_file_auto(json_path);
-  sample_db().save_file_auto(text_path);
+TEST(PerfDbJson, RoundTripIsExact) {
+  // Times at full double precision survive the file: a six-digit form
+  // would read 0.1234568 back as a different number.
+  const OpKey key{OpKind::kMatMul, 7};
+  PerfDatabase db;
+  ProfileCurve c;
+  const double time_ms = 0.123456789012345678;
+  c.add_sample(AffinityMode::kSpread, 3, time_ms);
+  db.put(key, c);
+  PerfDatabase loaded;
+  loaded.load_json(db.to_json());
+  ASSERT_EQ(loaded.at(key).samples(AffinityMode::kSpread).size(), 1u);
+  EXPECT_EQ(loaded.at(key).samples(AffinityMode::kSpread)[0].time_ms,
+            time_ms);
+}
 
-  // The JSON file really is JSON, the text file really is the line format.
-  PerfDatabase a, b;
-  a.load_json_file(json_path);
-  b.load_file(text_path);
-  EXPECT_EQ(a.size(), 2u);
-  EXPECT_EQ(b.size(), 2u);
+TEST(PerfDbJson, FileHelpers) {
+  const std::string path = std::string(::testing::TempDir()) + "/profiles.json";
+  sample_db().save_file(path);
+  PerfDatabase loaded;
+  loaded.load_file(path);
+  EXPECT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded.to_json(), sample_db().to_json());
 
-  PerfDatabase c, d;
-  c.load_file_auto(json_path);
-  d.load_file_auto(text_path);
-  EXPECT_EQ(c.size(), 2u);
-  EXPECT_EQ(d.size(), 2u);
-
-  EXPECT_THROW(sample_db().save_json_file("/no-such-dir-xyz/p.json"),
+  EXPECT_THROW(sample_db().save_file("/no-such-dir-xyz/p.json"),
                std::runtime_error);
   PerfDatabase e;
-  EXPECT_THROW(e.load_json_file("/no-such-file-xyz.json"), std::runtime_error);
+  EXPECT_THROW(e.load_file("/no-such-file-xyz.json"), std::runtime_error);
 }
 
 }  // namespace
