@@ -39,11 +39,13 @@ void DataParallelCluster::profile(const GraphBuilderFn& build,
                                   std::int64_t global_batch) {
   const std::int64_t shard_batch = std::max<std::int64_t>(
       1, global_batch / static_cast<std::int64_t>(options_.num_workers));
+  // Every shard is built before any is profiled: a worker's steps must run
+  // on the graph it profiled, not on one a later push_back moved.
   shards_.clear();
-  for (std::size_t w = 0; w < options_.num_workers; ++w) {
+  for (std::size_t w = 0; w < options_.num_workers; ++w)
     shards_.push_back(build(shard_batch));
-    workers_[w]->profile(shards_.back());
-  }
+  for (std::size_t w = 0; w < options_.num_workers; ++w)
+    workers_[w]->profile(shards_[w]);
   param_bytes_ = model_parameter_bytes(shards_.front());
 }
 
