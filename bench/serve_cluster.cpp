@@ -149,7 +149,6 @@ std::size_t run_host_checksum_section(std::size_t* migrations_out) {
   opt.num_shards = 2;
   opt.service.substrate = serve::Substrate::kHost;
   opt.service.admission.max_corun_jobs = 1;
-  opt.placement.anneal = false;  // keep the engineered alternation exact
   serve::ClusterService cluster(MachineSpec::knl(), opt);
 
   const Graph shared = fleet_graph(4242);
@@ -164,9 +163,12 @@ std::size_t run_host_checksum_section(std::size_t* migrations_out) {
     script.push_back(spec);
     ids.push_back(cluster.submit(std::move(spec)));
   }
-  cluster.run_pump();  // place alternately, admit one per shard
-  cluster.cancel(ids[2]);  // empty shard 0's queue ...
-  cluster.cancel(ids[4]);
+  cluster.run_pump();  // place three per shard, admit one per shard
+  // Empty shard 0's queue ...
+  for (const serve::FleetJob& fj : cluster.snapshot().jobs) {
+    if (fj.shard == 0 && fj.record.state == serve::JobState::kQueued)
+      cluster.cancel(fj.id);
+  }
   cluster.run_pump();  // ... cancels land at the shard boundary
   cluster.run_pump();  // rebalancer migrates a queued job back to shard 0
   cluster.drain();

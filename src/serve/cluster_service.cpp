@@ -232,7 +232,7 @@ void ClusterService::place_pending_locked() {
   }
 
   std::vector<std::size_t> assignment = greedy_place(widths, base);
-  if (options_.placement.anneal && shards_.size() > 1) {
+  if (shards_.size() > 1) {
     assignment = anneal_place(widths, base, std::move(assignment),
                               mix64(kAnnealSeed, placement_batches_));
   }

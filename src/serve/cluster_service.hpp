@@ -4,8 +4,8 @@
 // substrate. The cluster adds exactly three things on top of the shards:
 //
 //   - PLACEMENT: a pending job lands on a shard chosen by greedy bin-pack
-//     over charged width demand (serve/placement.hpp), then an optional
-//     annealing improvement pass over the whole pending batch. Demand is
+//     over charged width demand (serve/placement.hpp), then an annealing
+//     improvement pass over the whole pending batch. Demand is
 //     estimated from the shards' PerfDatabases when a matching profile
 //     exists; unprofiled jobs are charged conservatively as a full machine
 //     (so they spread one-per-shard instead of packing blind).
@@ -58,7 +58,6 @@ struct ClusterServiceOptions {
   ServiceOptions service;
   /// Scheduling options forwarded to every shard's Runtime.
   RuntimeOptions runtime;
-  PlacementOptions placement;
   /// Fleet telemetry (both may be null = detached). The cluster registers
   /// its cluster_* family here and hands the same registry/collector to
   /// every shard: shard metrics arrive qualified with {shard="<s>"} and

@@ -5,10 +5,11 @@
 //   1. greedy bin-pack — each pending job, in submit order, goes to the
 //      shard with the lowest relative load (charged width / cores), ties
 //      broken by lowest shard index;
-//   2. an optional annealing improvement pass over the whole pending
-//      batch: random single-job moves accepted by Metropolis on the
-//      balance objective, with the BEST assignment seen returned — the
-//      pass can only improve on (never worsen) the greedy seed.
+//   2. an annealing improvement pass over the whole pending batch (on a
+//      fleet of more than one shard): random single-job moves accepted by
+//      Metropolis on the balance objective, with the BEST assignment seen
+//      returned — the pass can only improve on (never worsen) the greedy
+//      seed.
 // Deterministic by construction: the annealer runs on a seeded Xoshiro
 // stream, so identical inputs give identical placements, which is what
 // lets whole fleet runs replay bit-identically under the virtual clock.
@@ -21,11 +22,6 @@
 #include "serve/admission_control.hpp"
 
 namespace opsched::serve {
-
-struct PlacementOptions {
-  /// Run the annealing improvement pass after the greedy bin-pack.
-  bool anneal = true;
-};
 
 /// One shard's standing commitment as placement sees it: the summed
 /// charged widths of every non-terminal job currently mapped there.

@@ -202,17 +202,16 @@ TEST(ClusterDeterminism, FourShardFleetReplaysToo) {
 TEST(ClusterService, MigrationPreservesSoloChecksum) {
   // Engineer an imbalance that forces migration, on the HOST substrate so
   // numerics are real: 2 shards, one resident job each (max_corun_jobs=1),
-  // six jobs placed alternately. Cancel the two jobs queued on shard 0 —
-  // shard 1 now holds 3 live jobs to shard 0's 1, so the rebalancer
-  // withdraws a never-admitted job from shard 1 and requeues it on shard
-  // 0. Wherever each job ends up running, its checksum must equal its
-  // solo serial reference (and the shard service re-verifies every step
-  // against the job's first internally).
+  // six jobs placed three to a shard. Cancel the two jobs queued on one
+  // shard — the other now holds 3 live jobs to its 1, so the rebalancer
+  // withdraws a never-admitted job from the loaded shard and requeues it
+  // on the emptied one. Wherever each job ends up running, its checksum
+  // must equal its solo serial reference (and the shard service
+  // re-verifies every step against the job's first internally).
   ClusterServiceOptions opt;
   opt.num_shards = 2;
   opt.service.substrate = Substrate::kHost;
   opt.service.admission.max_corun_jobs = 1;
-  opt.placement.anneal = false;  // keep the engineered alternation exact
   ClusterService cluster(MachineSpec::knl(), opt);
 
   // ONE shared graph, distinct tensor seeds: every job profiles to the
@@ -230,14 +229,22 @@ TEST(ClusterService, MigrationPreservesSoloChecksum) {
     script.push_back(spec);
     ids.push_back(cluster.submit(std::move(spec)));
   }
-  // Pump 1: places all six (alternating shards — unprofiled jobs charge a
-  // full machine each, so greedy round-robins them), admits one per shard.
+  // Pump 1: places all six (three per shard — unprofiled jobs charge a
+  // full machine each, and placement balances the charge), admits one per
+  // shard.
   cluster.run_pump();
-  // Kill the two still-queued jobs on shard 0 (cluster ids 3 and 5 landed
-  // there by alternation: 0->s0, 1->s1, 2->s0, 3->s1, ... with ids 1-6,
-  // the shard-0 queue holds ids 3 and 5).
-  EXPECT_TRUE(cluster.cancel(ids[2]));
-  EXPECT_TRUE(cluster.cancel(ids[4]));
+  // Kill the two still-queued jobs on one shard, read from the fleet view.
+  const FleetSnapshot placed = cluster.snapshot();
+  std::vector<ClusterJobId> queued_on[2];
+  for (const FleetJob& fj : placed.jobs) {
+    ASSERT_LT(fj.shard, 2u);
+    if (fj.record.state == JobState::kQueued)
+      queued_on[fj.shard].push_back(fj.id);
+  }
+  ASSERT_EQ(queued_on[0].size(), 2u);
+  ASSERT_EQ(queued_on[1].size(), 2u);
+  EXPECT_TRUE(cluster.cancel(queued_on[0][0]));
+  EXPECT_TRUE(cluster.cancel(queued_on[0][1]));
   // Pump 2 applies the cancels at the shard boundary; pump 3 sees the
   // 1-vs-3 imbalance and migrates a queued job back to shard 0.
   cluster.run_pump();
