@@ -108,6 +108,7 @@ void run(Context& ctx) {
                  std::to_string(prof.unique_ops) + " ops host-profiled");
 
   TeamPool pool(cores);
+  const int width = static_cast<int>(rt.machine().spec().num_cores);
   TablePrinter table(
       {"k", "step_ms", "sched_ms", "ns/launch", "overhead %"});
 
@@ -118,7 +119,7 @@ void run(Context& ctx) {
     HostCorunOptions host;
     host.cores = cores;
     host.decision_batch = k;
-    HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
+    HostCorunExecutor exec(rt.database(), width, pool, rt.options(), host);
     (void)exec.run_step_multi(programs, solo);  // warm-up: teams, calibration
 
     std::vector<double> step_ms, sched_ms, ns_launch, overhead;

@@ -80,8 +80,9 @@ void run(Context& ctx) {
   for (const Mode& m : modes) {
     HostCorunOptions host;
     host.cores = cores;
-    auto exec = std::make_unique<HostCorunExecutor>(rt.controller(), pool,
-                                                    rt.options(), host);
+    auto exec = std::make_unique<HostCorunExecutor>(
+        rt.database(), static_cast<int>(rt.machine().spec().num_cores), pool,
+        rt.options(), host);
     exec->attach_observability(m.reg, m.trace);
     // Warm-up: teams, calibration, cells.
     (void)exec->run_step_multi(programs, solo);

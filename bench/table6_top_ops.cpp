@@ -6,6 +6,7 @@
 #include <map>
 
 #include "all_benchmarks.hpp"
+#include "core/concurrency_controller.hpp"
 #include "core/runtime.hpp"
 #include "models/models.hpp"
 #include "util/table.hpp"
@@ -27,6 +28,8 @@ void run(Context& ctx) {
     opt.strategies = kStrategyS12;
     Runtime rt(spec, opt);
     rt.profile(g);
+    const ConcurrencyController decisions(
+        rt.database(), opt, static_cast<int>(spec.num_cores), {&g});
 
     const CostModel& model = rt.cost_model();
     struct Agg {
@@ -38,7 +41,7 @@ void run(Context& ctx) {
       Agg& a = agg[n.kind];
       a.rec += model.exec_time_ms(n, static_cast<int>(spec.num_cores),
                                   AffinityMode::kSpread);
-      const Candidate c = rt.controller().choice_for(n);
+      const Candidate c = decisions.choice_for(n);
       a.s12 += model.exec_time_ms(n, c.threads, c.mode);
     }
 

@@ -14,11 +14,13 @@
 // Profile database files are schema-versioned JSON (PerfDatabase), read
 // and written whatever their suffix.
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <vector>
 
+#include "core/concurrency_controller.hpp"
 #include "core/runtime.hpp"
 #include "core/trace_export.hpp"
 #include "models/models.hpp"
@@ -54,7 +56,8 @@ int usage() {
          "  serve   : elastic scheduling service on a scripted job-churn\n"
          "            trace  [--substrate host|sim] [--jobs N] [--corun K]\n"
          "            [--seed S] [--db FILE] [--save-db FILE] (warm-start\n"
-         "            profile reuse across restarts)\n"
+         "            profile reuse across restarts; a missing --db FILE\n"
+         "            is a cold start, an unreadable one an error)\n"
          "            [--metrics-json FILE] (serve_*/host_*/policy_* metric\n"
          "            snapshot) [--trace-out FILE] (Chrome trace: job/step/\n"
          "            request spans + per-op host spans)\n"
@@ -87,6 +90,7 @@ int cmd_profile(const Graph& g, const Flags& flags) {
   opt.hill_climb_interval = flags.get_int("interval", 4);
   Runtime rt(MachineSpec::knl(), opt);
   const ProfilingReport report = rt.profile(g);
+  const ConcurrencyController decisions(rt.database(), opt, 68, {&g});
   std::cout << "profiled " << report.unique_ops << " unique ops, "
             << report.total_samples << " samples, "
             << report.profiling_steps << " profiling steps\n\n";
@@ -97,7 +101,7 @@ int cmd_profile(const Graph& g, const Flags& flags) {
     auto& a = agg[n.kind];
     a.first +=
         rt.cost_model().exec_time_ms(n, 68, AffinityMode::kSpread);
-    a.second = rt.controller().choice_for(n).threads;
+    a.second = decisions.choice_for(n).threads;
   }
   std::vector<std::pair<OpKind, std::pair<double, int>>> rows(agg.begin(),
                                                               agg.end());
@@ -134,12 +138,14 @@ int cmd_serve(const Flags& flags) {
   Runtime rt(MachineSpec::knl());
   if (flags.has("db")) {
     const std::string path = flags.get("db", "profiles.json");
-    try {
+    // Only a missing file means a cold start: a malformed or wrong-version
+    // database throws out of load_file to main's handler (exit 1).
+    if (std::filesystem::exists(path)) {
       rt.database().load_file(path);
       std::cout << "warm start: " << rt.database().size()
                 << " profile curves loaded from " << path << "\n";
-    } catch (const std::exception& e) {
-      std::cout << "cold start (" << e.what() << ")\n";
+    } else {
+      std::cout << "cold start (no profile database at " << path << ")\n";
     }
   }
 

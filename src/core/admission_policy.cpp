@@ -170,29 +170,43 @@ AdmissionPolicy::ArenaOp AdmissionPolicy::lookup_arena(
   return it != arena_ids_.end() ? it->second : kNoArenaOp;
 }
 
+void AdmissionPolicy::refresh_decisions(
+    const std::vector<TenantReadyView>& tenants) {
+  bool same = controller_.has_value() && decided_version_ == db_.version() &&
+              decided_over_.size() == tenants.size();
+  for (std::size_t t = 0; same && t < tenants.size(); ++t)
+    same = decided_over_[t] == tenants[t].graph->uid();
+  if (same) return;
+  std::vector<const Graph*> graphs;
+  decided_over_.clear();
+  for (const TenantReadyView& v : tenants) {
+    graphs.push_back(v.graph);
+    decided_over_.push_back(v.graph->uid());
+  }
+  decided_version_ = db_.version();
+  controller_.emplace(db_, options_, default_width_, graphs);
+  for (GraphBinding& b : bindings_) b.graph = nullptr;
+}
+
 const AdmissionPolicy::GraphBinding& AdmissionPolicy::bind(std::size_t t,
                                                            const Graph& g) {
   if (bindings_.size() <= t) bindings_.resize(t + 1);
   GraphBinding& b = bindings_[t];
-  const std::uint64_t gen = controller_.generation();
-  if (b.graph == &g && b.generation == gen && b.nodes.size() == g.size())
-    return b;
+  if (b.graph == &g) return b;
 
   b.graph = &g;
-  b.generation = gen;
   b.nodes.assign(g.size(), BoundNode{});
   b.menu.clear();
   const bool s2 = (options_.strategies & kStrategy2) != 0;
   for (const Node& node : g.nodes()) {
     BoundNode rec;
     rec.op = intern(OpKey::of(node));
-    rec.choice = controller_.choice_for(node);
-    rec.predicted_ms = controller_.predicted_time_ms(node);
-    rec.serial_ms = controller_.serial_time_ms(node);
+    rec.choice = controller_->choice_for(node);
+    rec.serial_ms = controller_->serial_time_ms(node);
     rec.layout = !op_kind_tunable(node.kind);
 
     std::vector<Candidate> cands =
-        controller_.candidates_for(node, options_.num_candidates);
+        controller_->candidates_for(node, options_.num_candidates);
     if (s2) {
       // Strategy 2 guard, pre-applied: a candidate too far from the
       // consolidated width is replaced by the consolidated choice. The
@@ -726,7 +740,7 @@ std::optional<MultiAdmissionDecision> AdmissionPolicy::pick_once(
     bool any = false;
     for (std::size_t pos = 0; pos < ready.size(); ++pos) {
       if (position_skipped(skip, pos)) continue;
-      const double time = b.nodes[ready[pos]].predicted_ms;
+      const double time = b.nodes[ready[pos]].choice.time_ms;
       if (time > heavy_time) {
         heavy_time = time;
         heavy_pos = pos;
@@ -760,6 +774,7 @@ std::vector<MultiAdmissionDecision> AdmissionPolicy::next_launch_batch(
   if (stats != nullptr) stats->resize(tenants.size());
   const double t0 = telem_.reg != nullptr ? wall_time_ms() : 0.0;
   ensure_tenants(tenants.size());
+  refresh_decisions(tenants);
   resolve_running(running, running_scratch_);
 
   std::vector<std::vector<std::size_t>> picked(tenants.size());
@@ -789,7 +804,8 @@ std::vector<MultiAdmissionDecision> AdmissionPolicy::next_launch_batch(
     idle -= std::max(1, c.threads);
     const GraphBinding& b = bind(t, *tenants[t].graph);
     const BoundNode& node = b.nodes[(*tenants[t].ready)[orig]];
-    const double remaining = c.time_ms > 0.0 ? c.time_ms : node.predicted_ms;
+    const double remaining =
+        c.time_ms > 0.0 ? c.time_ms : node.choice.time_ms;
     running_scratch_.ops.push_back(
         TenantArenaOp{stable_id(t), node.op});
     running_scratch_.max_remaining =
@@ -811,6 +827,7 @@ std::optional<MultiAdmissionDecision> AdmissionPolicy::next_overlay_multi(
   if (tenants.empty() || eligible_cores <= 0) return std::nullopt;
   if ((options_.strategies & kStrategy4) == 0) return std::nullopt;
   ensure_tenants(tenants.size());
+  refresh_decisions(tenants);
   resolve_running(running, running_scratch_);
   tenant_order(tenants.size(), order_scratch_);
 

@@ -8,23 +8,29 @@
 // The policy sees the machine only through plain values — the ready queue,
 // the idle-core count, and a snapshot of the in-flight ops — so it neither
 // knows nor cares whether "cores" are simulated or physical. Time values are
-// whatever timescale the caller's ConcurrencyController predicts in; the
-// policy only ever compares them against each other (Strategy 3's
-// throughput guard is scale-free).
+// whatever timescale the database's curves were profiled in; the policy
+// only ever compares them against each other (Strategy 3's throughput guard
+// is scale-free).
+//
+// Decisions: the policy owns the Strategy 1/2 decisions for the graphs it
+// walks. Profiling only fills the PerfDatabase; at each walk the policy
+// checks the walked graphs (by Graph::uid, in slot order) and the
+// database's version against those of its last build, and on any change
+// builds a new ConcurrencyController over exactly those graphs and drops
+// its graph bindings. Learned state (decision cache, interference record)
+// is kept.
 //
 // Hot path: every structure the per-launch walk touches is flat and
 // arena-indexed. Each distinct OpKey is interned once into a dense 32-bit
 // arena id; per (slot, graph) the policy binds a node-indexed array carrying
-// the arena id, the S1/S2 choice, the Strategy-3 candidate menu (with the S2
-// guard pre-applied), and the predicted/serial times — so the walk over a
-// thousand-op ready queue does no hashing and no map lookups, just indexed
-// loads. The decision cache is an open-addressed flat table keyed by
-// (stable tenant id, arena op, idle width); the interference record is an
-// adjacency map from each (stable tenant id, arena op) endpoint to its
-// recorded partners, so recording and stamping cost O(1) per pair.
-// Bindings are invalidated by
-// the controller's build generation, so every rebuild of the decisions is
-// picked up exactly as if everything were recomputed per call.
+// the arena id, the S1/S2 choice and its predicted time, the Strategy-3
+// candidate menu (with the S2 guard pre-applied), and the serial time — so
+// the walk over a thousand-op ready queue does no hashing and no map
+// lookups, just indexed loads. The decision cache is an open-addressed flat
+// table keyed by (stable tenant id, arena op, idle width); the interference
+// record is an adjacency map from each (stable tenant id, arena op)
+// endpoint to its recorded partners, so recording and stamping cost O(1)
+// per pair.
 //
 // Multi-tenancy: the policy admits ops from N independent ready queues (one
 // per co-located training job) through the same Strategy 3 candidate walk,
@@ -155,7 +161,7 @@ struct MultiAdmissionDecision {
   AdmissionDecision decision;
 };
 
-/// Lifetime: keeps a reference to `controller`, which must outlive it.
+/// Lifetime: keeps a reference to `db`, which must outlive it.
 /// Thread-safety: NOT thread-safe — the admission walks and
 /// record_interference mutate the learned state, so each executor drives
 /// its own policy instance from one thread at a time (both Runtime's
@@ -180,9 +186,11 @@ class AdmissionPolicy {
   /// more evicts its oldest pair, which is then free to be retested.
   static constexpr std::size_t kMaxBadPartners = 8;
 
-  AdmissionPolicy(const ConcurrencyController& controller,
-                  RuntimeOptions options)
-      : controller_(controller), options_(options) {}
+  /// Decides from the curves in `db`; `default_width` (the machine's
+  /// physical cores) is the width of ops without a decision.
+  AdmissionPolicy(const PerfDatabase& db, RuntimeOptions options,
+                  int default_width)
+      : db_(db), options_(options), default_width_(default_width) {}
 
   /// Declares the tenant population of a co-located step: slot t carries
   /// stable id set.ids[t] with relative service share set.weights[t]
@@ -322,7 +330,7 @@ class AdmissionPolicy {
   };
 
   /// Per-node record of one graph binding: everything the hot walk needs,
-  /// resolved once per (slot, graph, controller generation).
+  /// resolved once per (slot, graph) after each decision build.
   struct BoundNode {
     ArenaOp op = kNoArenaOp;
     std::uint32_t menu_begin = 0;   // into GraphBinding::menu
@@ -331,8 +339,7 @@ class AdmissionPolicy {
     /// guard_fallbacks stat each time the walk evaluates this node's menu,
     /// reproducing the per-visit accounting of the unbound implementation.
     std::uint32_t guard_rewrites = 0;
-    Candidate choice;               // S1/S2 solo decision
-    double predicted_ms = 0.0;
+    Candidate choice;               // S1/S2 solo decision and its time
     double serial_ms = 0.0;
     /// A layout op (!op_kind_tunable): its menu is the default width alone.
     bool layout = false;
@@ -346,8 +353,7 @@ class AdmissionPolicy {
   /// One slot's bound graph: node-id-indexed records plus the concatenated
   /// candidate menus.
   struct GraphBinding {
-    const Graph* graph = nullptr;
-    std::uint64_t generation = 0;  // controller build generation at bind
+    const Graph* graph = nullptr;  // null until bound after a build
     std::vector<BoundNode> nodes;
     std::vector<Candidate> menu;
   };
@@ -399,8 +405,12 @@ class AdmissionPolicy {
   ArenaOp intern(const OpKey& key);
   /// Arena id of `key` if already interned, else kNoArenaOp (const paths).
   ArenaOp lookup_arena(const OpKey& key) const;
-  /// (Re)binds slot `t` to `g` if the cached binding is for a different
-  /// graph or a stale controller generation; returns the live binding.
+  /// Builds a new controller over the walked graphs, and unbinds every
+  /// slot, when the graphs (by uid, in slot order) or the database version
+  /// differ from the last build's.
+  void refresh_decisions(const std::vector<TenantReadyView>& tenants);
+  /// Binds slot `t` to `g` unless it is already bound to it since the
+  /// last decision build; returns the live binding.
   const GraphBinding& bind(std::size_t t, const Graph& g);
 
   /// Running snapshot resolved to (stable id, arena op) plus the remaining
@@ -467,8 +477,14 @@ class AdmissionPolicy {
       const std::vector<std::vector<std::size_t>>& skips,
       std::vector<AdmissionStats>* stats);
 
-  const ConcurrencyController& controller_;
+  const PerfDatabase& db_;
   RuntimeOptions options_;
+  int default_width_;
+  /// The Strategy 1/2 decisions over decided_over_ (empty before the first
+  /// walk), built from the database at version decided_version_.
+  std::optional<ConcurrencyController> controller_;
+  std::vector<std::uint64_t> decided_over_;  // walked graphs' uids
+  std::uint64_t decided_version_ = 0;
 
   /// OpKey -> dense arena id. Grows with distinct op shapes ever seen
   /// (survives reset_learning — ids must stay stable because bindings and

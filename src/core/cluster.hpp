@@ -111,7 +111,7 @@ class ModelParallelCluster {
   ModelParallelStepResult run_step_recommendation();
 
   const std::vector<ModelStage>& stages() const noexcept { return stages_; }
-  /// Worker w's runtime (to inspect per-stage controller decisions).
+  /// Worker w's runtime (to inspect per-stage profiles and decisions).
   Runtime& worker(std::size_t w) { return *workers_.at(w); }
 
  private:

@@ -4,20 +4,10 @@
 
 namespace opsched {
 
-ConcurrencyController::ConcurrencyController(const PerfDatabase& db,
-                                             RuntimeOptions options,
-                                             int default_width)
-    : db_(db), options_(options), default_width_(default_width) {}
-
-Candidate ConcurrencyController::default_choice() const {
-  return Candidate{default_width_, AffinityMode::kSpread, 0.0};
-}
-
-void ConcurrencyController::build(const std::vector<const Graph*>& graphs) {
-  ++generation_;
-  per_kind_.clear();
-  per_key_.clear();
-
+ConcurrencyController::ConcurrencyController(
+    const PerfDatabase& db, RuntimeOptions options, int default_width,
+    const std::vector<const Graph*>& graphs)
+    : db_(db), options_(options), default_width_(default_width) {
   const bool s1 = (options_.strategies & kStrategy1) != 0;
   const bool s2 = (options_.strategies & kStrategy2) != 0;
 
@@ -57,6 +47,10 @@ void ConcurrencyController::build(const std::vector<const Graph*>& graphs) {
     }
   }
   for (const auto& [kind, entry] : heaviest) per_kind_[kind] = entry.second;
+}
+
+Candidate ConcurrencyController::default_choice() const {
+  return Candidate{default_width_, AffinityMode::kSpread, 0.0};
 }
 
 Candidate ConcurrencyController::choice_for(const Node& node) const {
@@ -104,10 +98,6 @@ std::vector<Candidate> ConcurrencyController::candidates_for(
 int ConcurrencyController::consolidated_width(OpKind kind) const {
   const auto it = per_kind_.find(kind);
   return it == per_kind_.end() ? default_width_ : it->second.threads;
-}
-
-double ConcurrencyController::predicted_time_ms(const Node& node) const {
-  return choice_for(node).time_ms;
 }
 
 double ConcurrencyController::serial_time_ms(const Node& node) const {

@@ -122,7 +122,7 @@ class DispatchSubstrate {
   /// Busy cores a Strategy-4 overlay may ride on (empty when none may).
   virtual CoreSet overlay_cores() const = 0;
   /// Writes every in-flight op's predicted time to completion, on the
-  /// controller's timescale, at its lane of `by_lane` (sized to the lanes).
+  /// profiled curves' timescale, at its lane of `by_lane` (sized to the lanes).
   virtual void remaining_ms(std::vector<double>& by_lane) const = 0;
   /// Starts `launch`. Returns its completion when the substrate ran it to
   /// the end before returning, nullopt when it completes asynchronously.

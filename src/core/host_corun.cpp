@@ -97,16 +97,15 @@ class CompletionBoard {
 
 }  // namespace
 
-HostCorunExecutor::HostCorunExecutor(const ConcurrencyController& controller,
+HostCorunExecutor::HostCorunExecutor(const PerfDatabase& db, int default_width,
                                      TeamPool& pool, RuntimeOptions options,
                                      HostCorunOptions host)
-    : controller_(controller),
-      pool_(pool),
+    : pool_(pool),
       options_(options),
       host_(host),
       cores_(host.cores == 0 ? pool.max_width()
                              : std::min(host.cores, pool.max_width())),
-      policy_(controller, options) {
+      policy_(db, options, default_width) {
   if (cores_ == 0)
     throw std::invalid_argument("HostCorunExecutor: zero-width pool");
   // Launch lanes: lane 2c runs the primary whose span starts at core c,
@@ -185,7 +184,7 @@ class HostCorunExecutor::Substrate final : public DispatchSubstrate {
   }
 
   // Remaining time is predicted_ms minus elapsed wall-clock converted back
-  // to the controller's timescale through the learned calibration (1.0
+  // to the curves' timescale through the learned calibration (1.0
   // until the first completion: the guard only compares these values
   // against each other, so a uniform scale error is harmless).
   void remaining_ms(std::vector<double>& by_lane) const override {
@@ -256,9 +255,7 @@ class HostCorunExecutor::Substrate final : public DispatchSubstrate {
     ln.cores = l.cores;
     ln.overlay = l.overlay;
     ln.live = true;
-    ln.predicted_ms = l.candidate.time_ms > 0.0
-                          ? l.candidate.time_ms
-                          : exec_.controller_.predicted_time_ms(*l.node);
+    ln.predicted_ms = l.candidate.time_ms;
     ln.start_wall_ms = wall_time_ms();
     ++live_;
     if (exec_.metrics_ != nullptr) {
@@ -301,7 +298,7 @@ class HostCorunExecutor::Substrate final : public DispatchSubstrate {
     CoreSet cores;
     bool overlay = false;
     bool live = false;
-    double predicted_ms = 0.0;  // controller timescale
+    double predicted_ms = 0.0;  // the curves' timescale
     double start_wall_ms = 0.0;
   };
 

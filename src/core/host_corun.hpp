@@ -15,8 +15,8 @@
 //     primaries (hyper-thread-context sharing on the real machine; plain
 //     core sharing when SMT is off — either way, real contention);
 //   - completions return cores and update an online calibration between
-//     the controller's predicted timescale and host wall-clock, which the
-//     Strategy 3 throughput guard and the interference recorder consume.
+//     the profiled curves' predicted timescale and host wall-clock, which
+//     the Strategy 3 throughput guard and the interference recorder consume.
 // For the FIFO baseline loop, FIFO slot s starts an UNPINNED team on
 // launcher lane s and posts to the same sharded completion board.
 //
@@ -58,16 +58,18 @@ struct HostCorunOptions {
   std::size_t decision_batch = 4;
 };
 
-/// Lifetime: keeps references to `controller` and `pool`; both must outlive
-/// the executor. The HostGraphPrograms passed to the run_step_* entry
-/// points are only borrowed for the call.
+/// Lifetime: keeps references to `db` and `pool`; both must outlive the
+/// executor. The HostGraphPrograms passed to the run_step_* entry points
+/// are only borrowed for the call.
 ///
 /// Thread-safety: the run_step_* entry points must be called from one
 /// thread at a time; the executor spawns and joins its own launcher threads
 /// internally.
 class HostCorunExecutor {
  public:
-  HostCorunExecutor(const ConcurrencyController& controller, TeamPool& pool,
+  /// The embedded AdmissionPolicy decides from `db`, with `default_width`
+  /// for ops without a decision (Runtime passes its machine's cores).
+  HostCorunExecutor(const PerfDatabase& db, int default_width, TeamPool& pool,
                     RuntimeOptions options, HostCorunOptions host = {});
 
   /// One CO-LOCATED adaptive step over N tenants: every program's graph
@@ -141,7 +143,6 @@ class HostCorunExecutor {
     CoreSet span;
   };
 
-  const ConcurrencyController& controller_;
   TeamPool& pool_;
   RuntimeOptions options_;
   HostCorunOptions host_;

@@ -14,15 +14,6 @@ namespace {
 
 bool is_overlay(LaunchKind kind) { return kind == LaunchKind::kOverlay; }
 
-std::vector<const Graph*> graphs_of(
-    const std::vector<HostGraphProgram*>& programs) {
-  std::vector<const Graph*> graphs;
-  graphs.reserve(programs.size());
-  for (const HostGraphProgram* program : programs)
-    graphs.push_back(&program->graph());
-  return graphs;
-}
-
 /// The simulated machine as a dispatch substrate: virtual clock, one
 /// completion per wait, interference judged against the solo duration.
 class SimSubstrate final : public DispatchSubstrate {
@@ -142,11 +133,8 @@ Runtime::Runtime(const MachineSpec& spec, RuntimeOptions options)
     : options_(options),
       spec_(spec),
       model_(spec),
-      machine_(spec, model_) {
-  controller_ = std::make_unique<ConcurrencyController>(
-      db_, options_, static_cast<int>(spec.num_cores));
-  policy_ = std::make_unique<AdmissionPolicy>(*controller_, options_);
-}
+      machine_(spec, model_),
+      policy_(db_, options_, static_cast<int>(spec.num_cores)) {}
 
 ProfilingReport Runtime::profile(const Graph& g) {
   return profile_multi({&g});
@@ -155,9 +143,6 @@ ProfilingReport Runtime::profile(const Graph& g) {
 ProfilingReport Runtime::profile_graphs(
     const std::vector<const Graph*>& graphs, const HillClimbParams& params,
     const NodeMeasureFn& measure) {
-  // A curve added below changes what a build over the recorded graphs
-  // decides, so a profile that throws part-way leaves no record behind.
-  built_over_.clear();
   ProfilingReport report;
   const HillClimbProfiler profiler(params);
   std::size_t max_samples_per_op = 0;
@@ -177,15 +162,7 @@ ProfilingReport Runtime::profile_graphs(
     }
   }
   report.profiling_steps = max_samples_per_op;
-  controller_->build(graphs);
-  built_over_ = graphs;
   return report;
-}
-
-void Runtime::decide_for(const std::vector<const Graph*>& graphs) {
-  if (graphs == built_over_) return;
-  controller_->build(graphs);
-  built_over_ = graphs;
 }
 
 ProfilingReport Runtime::profile_multi(
@@ -206,16 +183,15 @@ StepResult Runtime::run_step(const Graph& g) {
 
 std::vector<StepResult> Runtime::run_step_multi(
     const std::vector<const Graph*>& graphs, const TenantSet& set) {
-  decide_for(graphs);
   machine_.reset();
   SimSubstrate substrate(machine_);
   // One decision per round: the simulator's schedules are the reference
   // the paper's tables are regenerated from.
-  return run_dispatch(*policy_, substrate, graphs, set, /*decision_batch=*/1);
+  return run_dispatch(policy_, substrate, graphs, set, /*decision_batch=*/1);
 }
 
 void Runtime::retire_tenant(std::size_t id) {
-  policy_->retire_tenant(id);
+  policy_.retire_tenant(id);
   if (host_executor_ != nullptr) host_executor_->retire_tenant(id);
 }
 
@@ -237,7 +213,7 @@ TeamPool& Runtime::host_pool() {
 HostCorunExecutor& Runtime::host_executor() {
   if (host_executor_ == nullptr) {
     host_executor_ = std::make_unique<HostCorunExecutor>(
-        *controller_, host_pool(), options_);
+        db_, static_cast<int>(spec_.num_cores), host_pool(), options_);
   }
   return *host_executor_;
 }
@@ -255,12 +231,15 @@ ProfilingReport Runtime::profile_host_multi(
   params.max_threads = static_cast<int>(pool.max_width());
   params.both_modes = false;  // the host pool has no tile topology
   const int reps = std::max(1, repeats);
+  std::vector<const Graph*> graphs;
+  for (const HostGraphProgram* program : programs)
+    graphs.push_back(&program->graph());
   // The measurement is a REAL timed run of the node's bound kernel on a
   // real team of the sampled width — concurrency control on physical
   // hardware, the paper's actual setting. Tenants whose (kind, shape) keys
   // coincide share one curve: the kernel is the same work.
   return profile_graphs(
-      graphs_of(programs), params,
+      graphs, params,
       [&](std::size_t t, const Node& n, int threads, AffinityMode) {
         ThreadTeam& team = pool.team(static_cast<std::size_t>(threads));
         const double t0 = wall_time_ms();
@@ -275,7 +254,6 @@ StepResult Runtime::run_step_host(HostGraphProgram& program) {
 
 std::vector<StepResult> Runtime::run_step_multi_host(
     const std::vector<HostGraphProgram*>& programs, const TenantSet& set) {
-  decide_for(graphs_of(programs));
   return host_executor().run_step_multi(programs, set);
 }
 

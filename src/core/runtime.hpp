@@ -4,6 +4,12 @@
 // steps under the adaptive scheduler (Strategies 1-4) or under baseline
 // policies for comparison — the workflow of the paper's Figure 2.
 //
+// Profiling only fills the PerfDatabase. The Strategy 1/2 decisions belong
+// to each substrate's AdmissionPolicy, which builds them over exactly the
+// graphs it walks and rebuilds them when those graphs or the database
+// change, so profiling one model never leaves another model's step on the
+// wrong decisions.
+//
 // Two execution substrates share one Runtime:
 //   - simulated: profile() + run_step()/run_step_fifo() on the SimMachine
 //     (regenerates the paper's tables; deterministic virtual time). The
@@ -12,17 +18,10 @@
 //   - native host: profile_host() + run_step_host()/run_step_host_fifo(),
 //     which time and run the REAL tensor kernels on real pinned threads via
 //     HostCorunExecutor — the same two loops over the host's adapters, the
-//     same ConcurrencyController and AdmissionPolicy logic, real wall-clock.
+//     same AdmissionPolicy logic, real wall-clock.
 // Profiles land in the one PerfDatabase keyed by (kind, shapes), and the
 // two substrates' timescales differ wildly — use one Runtime per substrate
 // (or call reset-free profile()/profile_host() for disjoint graphs only).
-//
-// Decisions follow the step: every adaptive step runs on the Strategy 1/2
-// decisions built over exactly the graphs it steps. The Runtime remembers
-// the graph list it last built over (profiling sets it too) and rebuilds
-// from the curves already in the database whenever a step's list differs,
-// so profiling one model never leaves another model's step on the wrong
-// decisions.
 #pragma once
 
 #include <functional>
@@ -71,24 +70,20 @@ class Runtime {
  public:
   explicit Runtime(const MachineSpec& spec, RuntimeOptions options = {});
 
-  /// Profiles every unique tunable op of `g` with the hill-climb model and
-  /// builds the concurrency decisions over `g`. Idempotent per graph.
+  /// Profiles every unique tunable op of `g` with the hill-climb model into
+  /// the database. Idempotent per graph.
   ProfilingReport profile(const Graph& g);
 
   /// Multi-tenant profiling: profiles every graph's unique ops (shared
-  /// (kind, shape) keys are profiled once across tenants) and builds the
-  /// decisions over the union, which controller() then shows.
+  /// (kind, shape) keys are profiled once across tenants).
   ProfilingReport profile_multi(const std::vector<const Graph*>& graphs);
 
   /// One adaptive training step (Strategies per options.strategies).
   StepResult run_step(const Graph& g);
 
   /// One CO-LOCATED adaptive step over N tenants' graphs on the simulated
-  /// machine (reset first), on decisions built over exactly `graphs` (a
-  /// rebuild when they differ from the last build's graphs). Graphs are
-  /// compared by address, so profile a graph before its first step: that
-  /// builds over it, and a new graph at a freed graph's address is never
-  /// taken for the old one. Ops interleave across tenants under the
+  /// machine (reset first), on decisions built over exactly `graphs` (see
+  /// AdmissionPolicy). Ops interleave across tenants under the
   /// weighted-deficit admission walk, one decision per round. Returns one
   /// StepResult per tenant, in input order (see run_dispatch); deterministic
   /// for fixed inputs. `set` names the tenants: the serving layer passes
@@ -116,14 +111,13 @@ class Runtime {
   // -- native host execution ----------------------------------------------
 
   /// Profiles every unique tunable op of `program`'s graph by TIMING REAL
-  /// KERNEL RUNS on host thread teams (hill-climb over widths), then
-  /// builds the concurrency decisions over it. Idempotent per graph.
-  /// `repeats` timed runs are averaged per sample point.
+  /// KERNEL RUNS on host thread teams (hill-climb over widths) into the
+  /// database. Idempotent per graph. `repeats` timed runs are averaged per
+  /// sample point.
   ProfilingReport profile_host(HostGraphProgram& program, int repeats = 3);
 
   /// Multi-tenant host profiling: every program's unique ops timed on real
-  /// teams (shared (kind, shape) keys profiled once across tenants), then
-  /// the decisions built over the union of the tenants' graphs.
+  /// teams (shared (kind, shape) keys profiled once across tenants).
   ProfilingReport profile_host_multi(
       const std::vector<HostGraphProgram*>& programs, int repeats = 3);
 
@@ -163,12 +157,10 @@ class Runtime {
   const CostModel& cost_model() const noexcept { return model_; }
   SimMachine& machine() noexcept { return machine_; }
   const RuntimeOptions& options() const noexcept { return options_; }
-  const ConcurrencyController& controller() const noexcept {
-    return *controller_;
-  }
-  /// The simulator's Strategy 1-4 admission logic and its learned state
-  /// (decision cache, interference record), which persists across steps.
-  AdmissionPolicy& policy() noexcept { return *policy_; }
+  /// The simulator's Strategy 1-4 admission logic, its decisions and its
+  /// learned state (decision cache, interference record), which persists
+  /// across steps.
+  AdmissionPolicy& policy() noexcept { return policy_; }
 
  private:
   /// Times one tunable node of graphs[tenant] at a sampled width.
@@ -176,24 +168,17 @@ class Runtime {
       std::size_t tenant, const Node& node, int threads, AffinityMode mode)>;
   /// The hill-climb pass both profile_multi and profile_host_multi run:
   /// every tunable op whose (kind, shape) key the database lacks is climbed
-  /// once with `measure`, then the decisions are built over the union.
+  /// once with `measure` and put into the database.
   ProfilingReport profile_graphs(const std::vector<const Graph*>& graphs,
                                  const HillClimbParams& params,
                                  const NodeMeasureFn& measure);
-  /// Builds the decisions over `graphs` unless the last build was over
-  /// exactly this list.
-  void decide_for(const std::vector<const Graph*>& graphs);
 
   RuntimeOptions options_;
   MachineSpec spec_;
   CostModel model_;
   SimMachine machine_;
   PerfDatabase db_;
-  std::unique_ptr<ConcurrencyController> controller_;
-  /// The graphs the controller's decisions were last built over; only
-  /// compared, never dereferenced (a listed graph may be gone).
-  std::vector<const Graph*> built_over_;
-  std::unique_ptr<AdmissionPolicy> policy_;
+  AdmissionPolicy policy_;
   std::unique_ptr<TeamPool> host_pool_;
   std::unique_ptr<HostCorunExecutor> host_executor_;
 };

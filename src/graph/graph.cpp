@@ -1,10 +1,16 @@
 #include "graph/graph.hpp"
 
+#include <atomic>
 #include <queue>
 #include <stdexcept>
 #include <utility>
 
 namespace opsched {
+
+std::uint64_t Graph::Uid::next() {
+  static std::atomic<std::uint64_t> last{0};
+  return ++last;
+}
 
 NodeId Graph::add_node(Node node) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
@@ -17,6 +23,7 @@ NodeId Graph::add_node(Node node) {
   for (NodeId in : node.inputs) succ_[in].push_back(id);
   nodes_.push_back(std::move(node));
   succ_.emplace_back();
+  uid_.value = Uid::next();
   return id;
 }
 

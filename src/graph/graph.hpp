@@ -59,9 +59,27 @@ class Graph {
   /// Total nodes of a given kind.
   std::size_t count_kind(OpKind kind) const noexcept;
 
+  /// Process-unique identity of this graph's contents: fresh at
+  /// construction, copy, move and every add_node. A new graph may reuse a
+  /// freed graph's address, so decisions made over a graph key on this.
+  std::uint64_t uid() const noexcept { return uid_.value; }
+
  private:
+  /// A number no other graph holds; copies and moves draw a fresh one.
+  struct Uid {
+    Uid() = default;
+    Uid(const Uid&) {}
+    Uid& operator=(const Uid&) {
+      value = next();
+      return *this;
+    }
+    static std::uint64_t next();
+    std::uint64_t value = next();
+  };
+
   std::vector<Node> nodes_;
   std::vector<std::vector<NodeId>> succ_;
+  Uid uid_;
 };
 
 /// True when every node's input and output shape has rank >= 1 and dim 0

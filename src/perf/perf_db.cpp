@@ -64,6 +64,7 @@ std::map<OpKey, ProfileCurve> parse_json_curves(const std::string& text) {
 
 void PerfDatabase::put(const OpKey& key, ProfileCurve curve) {
   curves_[key] = std::move(curve);
+  ++version_;
 }
 
 bool PerfDatabase::contains(const OpKey& key) const {
@@ -121,6 +122,7 @@ std::string PerfDatabase::to_json() const {
 
 void PerfDatabase::load_json(const std::string& text) {
   curves_ = parse_json_curves(text);
+  ++version_;
 }
 
 void PerfDatabase::save_file(const std::string& path) const {

@@ -1,6 +1,10 @@
 // PerfDatabase: profiled curves keyed by (op kind, input shape). Two
 // instances of an operation with identical kind and shapes share a curve —
 // the stability property the paper's profiling step relies on.
+//
+// Profiling only fills this database; it decides nothing. The admission
+// policy that walks the graphs builds the Strategy 1/2 decisions from it,
+// and rebuilds them whenever version() moves.
 #pragma once
 
 #include <map>
@@ -27,11 +31,11 @@ struct OpKey {
   auto operator<=>(const OpKey&) const = default;
 };
 
-/// Lifetime: ConcurrencyController (and therefore Runtime) holds a
-/// reference to the database it profiles into — the database must outlive
-/// any controller constructed over it. References returned by at()/find()
-/// are invalidated by put()/load() for that key (and by destruction), but
-/// not by inserting other keys (std::map stability).
+/// Lifetime: ConcurrencyController and AdmissionPolicy hold a reference to
+/// the database they decide from — the database must outlive them.
+/// References returned by at()/find() are invalidated by put()/load() for
+/// that key (and by destruction), but not by inserting other keys
+/// (std::map stability).
 ///
 /// Thread-safety: NOT thread-safe. Profiling writes (put/load) must be
 /// externally serialised against readers; the steady-state scheduler path
@@ -46,6 +50,10 @@ class PerfDatabase {
   const ProfileCurve* find(const OpKey& key) const;
 
   std::size_t size() const noexcept { return curves_.size(); }
+
+  /// Bumped by every put and load_json, so a holder of decisions built
+  /// from the curves can tell that they may have changed.
+  std::uint64_t version() const noexcept { return version_; }
 
   /// Total profiling samples across all curves (the profiling cost the
   /// paper bounds at N <= C/x * 2 per op).
@@ -71,6 +79,7 @@ class PerfDatabase {
 
  private:
   std::map<OpKey, ProfileCurve> curves_;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace opsched

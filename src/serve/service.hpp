@@ -15,9 +15,10 @@
 //     (kind, shape) keys already warm in the shared PerfDatabase are
 //     reused, so repeat shapes cost nothing (and a service warm-started
 //     from a saved database profiles nothing at all);
-//   - decisions follow the step: the Runtime builds each step's Strategy
-//     1/2 decisions over exactly the graphs that step runs, so a new
-//     tenant subset or batch size needs nothing from the service;
+//   - profiling only fills the database, and the runtime's admission
+//     policy builds each step's Strategy 1/2 decisions over exactly the
+//     graphs that step runs, so a new tenant subset or batch size needs
+//     nothing from the service;
 //   - jobs keep their scheduler identity across reconfigurations: the
 //     JobId is the stable tenant id on the runtime's TenantSet path, so
 //     learned state and fairness deficits follow the job, and are retired

@@ -15,6 +15,9 @@
 namespace opsched {
 namespace {
 
+/// The default width a KNL Runtime gives its policies: the machine's cores.
+const int kKnlCores = static_cast<int>(MachineSpec::knl().num_cores);
+
 /// A layer of independent convs (profiled, tunable) plus one tiny op for
 /// the Strategy-4 smallest-op rule. Node ids: 0 = source, 1-4 = convs,
 /// 5 = tiny bias add.
@@ -40,7 +43,8 @@ class AdmissionPolicyTest : public ::testing::Test {
   }
 
   AdmissionPolicy make_policy() const {
-    return AdmissionPolicy(runtime_.controller(), runtime_.options());
+    return AdmissionPolicy(runtime_.database(), runtime_.options(),
+                           kKnlCores);
   }
 
   RunningOpView running_view(NodeId node, double remaining) const {
@@ -79,6 +83,18 @@ class AdmissionPolicyTest : public ::testing::Test {
   Graph graph_;
   Runtime runtime_;
 };
+
+/// One conv of script_graph()'s kind at a far larger shape (node 1): the
+/// kind's most time-consuming instance once both graphs are co-located.
+Graph heavy_graph() {
+  GraphBuilder gb;
+  const NodeId src =
+      gb.source(OpKind::kInputConversion, "in", TensorShape{32, 8, 8, 2048});
+  gb.op(OpKind::kConv2DBackpropInput, "heavy", {src},
+        TensorShape{32, 8, 8, 2048}, TensorShape{3, 3, 2048, 512},
+        TensorShape{32, 8, 8, 2048});
+  return gb.take();
+}
 
 /// One admission decision over `tenants` (the batch-of-one walk).
 std::optional<MultiAdmissionDecision> launch_multi(
@@ -617,7 +633,7 @@ TEST_F(AdmissionPolicyTest, BatchAdmitsSeveralLaunchesAgainstOneSnapshot) {
 TEST_F(AdmissionPolicyTest, StrategyMaskDisablesCorunAndOverlay) {
   RuntimeOptions opt = runtime_.options();
   opt.strategies = kStrategyS12;
-  AdmissionPolicy policy(runtime_.controller(), opt);
+  AdmissionPolicy policy(runtime_.database(), opt, kKnlCores);
   // Serial mode: nothing launches while anything runs...
   EXPECT_FALSE(
       launch(policy, {1, 2}, 68, {running_view(3, 50.0)}).has_value());
@@ -716,6 +732,83 @@ TEST_F(AdmissionPolicyTest, CappedLayoutPickIsNeverReplayedFromTheCache) {
   conv.tenant = 1;
   EXPECT_FALSE(launch_multi(p, tenants, 40, {conv}).has_value());
   EXPECT_EQ(p.decision_cache_entries(), cached);
+}
+
+// --- decisions: rebuilt when the walked graphs or the database change ------
+
+TEST_F(AdmissionPolicyTest, ReplacedCurveChangesTheNextPickWidth) {
+  AdmissionPolicy policy = make_policy();
+  const auto before = launch(policy, {1}, 68, {});
+  ASSERT_TRUE(before.has_value());
+  // Same graphs, new curve for the walked conv: its only cheap width is
+  // one the first pick did not use.
+  const int width = before->candidate.threads == 8 ? 12 : 8;
+  ProfileCurve curve;
+  curve.add_sample(AffinityMode::kSpread, width, 1.0);
+  curve.add_sample(AffinityMode::kSpread, width + 16, 5.0);
+  runtime_.database().put(OpKey::of(graph_.node(1)), curve);
+  const auto after = launch(policy, {1}, 68, {});
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->candidate.threads, width);
+}
+
+class DecisionRebuildTest : public AdmissionPolicyTest {
+ protected:
+  DecisionRebuildTest() : heavy_(heavy_graph()) {
+    // Everything profiled up front: the database stays at one version.
+    runtime_.profile(heavy_);
+  }
+
+  /// Serial mode (Strategies 1-2): a pick is the op's S1/S2 choice.
+  AdmissionPolicy serial_policy() const {
+    RuntimeOptions opt = runtime_.options();
+    opt.strategies = kStrategyS12;
+    return AdmissionPolicy(runtime_.database(), opt, kKnlCores);
+  }
+
+  /// Slot 0's pick for its conv (node 1) with the other slots idle.
+  static Candidate conv_pick(AdmissionPolicy& p,
+                             const std::vector<const Graph*>& graphs) {
+    const ReadyQueue conv{1}, none;
+    std::vector<TenantReadyView> tenants{{graphs[0], &conv}};
+    for (std::size_t t = 1; t < graphs.size(); ++t)
+      tenants.push_back({graphs[t], &none});
+    const auto d = launch_multi(p, tenants, 68, {});
+    EXPECT_TRUE(d.has_value());
+    return d.has_value() ? d->decision.candidate : Candidate{};
+  }
+
+  Graph heavy_;
+};
+
+TEST_F(DecisionRebuildTest, WalkingBackToAGraphListRestoresItsPicks) {
+  AdmissionPolicy fresh = serial_policy();
+  const Candidate want = conv_pick(fresh, {&graph_});
+
+  AdmissionPolicy walked = serial_policy();
+  (void)conv_pick(walked, {&graph_});
+  // Co-located with the heavy conv, Strategy 2 consolidates the kind onto
+  // the heavy instance's width.
+  const Candidate union_pick = conv_pick(walked, {&graph_, &heavy_});
+  ASSERT_NE(union_pick.threads, want.threads);
+  const Candidate got = conv_pick(walked, {&graph_});
+  EXPECT_EQ(got.threads, want.threads);
+  EXPECT_EQ(got.mode, want.mode);
+  EXPECT_DOUBLE_EQ(got.time_ms, want.time_ms);
+}
+
+TEST_F(DecisionRebuildTest, NewGraphAtTheSameAddressGetsItsOwnDecisions) {
+  AdmissionPolicy fresh = serial_policy();
+  const Candidate want = conv_pick(fresh, {&heavy_});
+
+  AdmissionPolicy policy = serial_policy();
+  Graph g = graph_;
+  const Candidate light = conv_pick(policy, {&g});
+  ASSERT_NE(light.threads, want.threads);
+  g = heavy_;  // new contents, same address
+  const Candidate got = conv_pick(policy, {&g});
+  EXPECT_EQ(got.threads, want.threads);
+  EXPECT_DOUBLE_EQ(got.time_ms, want.time_ms);
 }
 
 }  // namespace

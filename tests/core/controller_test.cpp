@@ -28,72 +28,63 @@ Graph two_instance_graph() {
 
 class ControllerTest : public ::testing::Test {
  protected:
-  Runtime make_runtime(unsigned strategies) {
+  ControllerTest() : graph_(two_instance_graph()) { runtime_.profile(graph_); }
+
+  /// The decisions over graph_ under `strategies`, from its profile.
+  ConcurrencyController decide(unsigned strategies) const {
     RuntimeOptions opt;
     opt.strategies = strategies;
-    return Runtime(MachineSpec::knl(), opt);
+    return ConcurrencyController(runtime_.database(), opt, 68, {&graph_});
   }
+
+  const Graph graph_;
+  Runtime runtime_{MachineSpec::knl()};
 };
 
 TEST_F(ControllerTest, Strategy1PerInstanceWidths) {
-  Runtime rt = make_runtime(kStrategy1);  // S1 without S2
-  const Graph g = two_instance_graph();
-  rt.profile(g);
-  const Candidate small = rt.controller().choice_for(g.node(1));
-  const Candidate large = rt.controller().choice_for(g.node(2));
+  const ConcurrencyController c = decide(kStrategy1);  // S1 without S2
+  const Candidate small = c.choice_for(graph_.node(1));
+  const Candidate large = c.choice_for(graph_.node(2));
   // Observation 2: the larger instance wants more threads.
   EXPECT_LT(small.threads, large.threads);
 }
 
 TEST_F(ControllerTest, Strategy2ConsolidatesOnHeaviestInstance) {
-  Runtime rt = make_runtime(kStrategyS12);
-  const Graph g = two_instance_graph();
-  rt.profile(g);
-  const Candidate small = rt.controller().choice_for(g.node(1));
-  const Candidate large = rt.controller().choice_for(g.node(2));
+  const ConcurrencyController c = decide(kStrategyS12);
+  const Candidate small = c.choice_for(graph_.node(1));
+  const Candidate large = c.choice_for(graph_.node(2));
   // Both instances use the same width: the heaviest instance's optimum.
   EXPECT_EQ(small.threads, large.threads);
   EXPECT_EQ(small.threads,
-            rt.controller().consolidated_width(OpKind::kConv2DBackpropFilter));
+            c.consolidated_width(OpKind::kConv2DBackpropFilter));
   // The heaviest (large) instance's own optimum is what got adopted.
-  Runtime rt1 = make_runtime(kStrategy1);
-  rt1.profile(g);
-  EXPECT_EQ(small.threads, rt1.controller().choice_for(g.node(2)).threads);
+  EXPECT_EQ(small.threads,
+            decide(kStrategy1).choice_for(graph_.node(2)).threads);
 }
 
 TEST_F(ControllerTest, PerInstanceTimesReportedUnderConsolidation) {
-  Runtime rt = make_runtime(kStrategyS12);
-  const Graph g = two_instance_graph();
-  rt.profile(g);
+  const ConcurrencyController c = decide(kStrategyS12);
   // Same width but different predicted times (instance-specific).
-  const Candidate small = rt.controller().choice_for(g.node(1));
-  const Candidate large = rt.controller().choice_for(g.node(2));
+  const Candidate small = c.choice_for(graph_.node(1));
+  const Candidate large = c.choice_for(graph_.node(2));
   EXPECT_LT(small.time_ms, large.time_ms);
 }
 
 TEST_F(ControllerTest, NonTunableOpsKeepDefaultWidth) {
-  Runtime rt = make_runtime(kStrategyAll);
-  const Graph g = two_instance_graph();
-  rt.profile(g);
-  const Candidate conv_choice = rt.controller().choice_for(g.node(0));
-  EXPECT_EQ(conv_choice.threads, rt.controller().default_width());
+  const ConcurrencyController c = decide(kStrategyAll);
+  const Candidate conv_choice = c.choice_for(graph_.node(0));
+  EXPECT_EQ(conv_choice.threads, c.default_width());
   // And only one candidate is offered (no tuning freedom).
-  EXPECT_EQ(rt.controller().candidates_for(g.node(0), 3).size(), 1u);
+  EXPECT_EQ(c.candidates_for(graph_.node(0), 3).size(), 1u);
 }
 
 TEST_F(ControllerTest, NoModelStrategiesMeansDefaultWidth) {
-  Runtime rt = make_runtime(0);  // neither S1 nor S2
-  const Graph g = two_instance_graph();
-  rt.profile(g);
-  EXPECT_EQ(rt.controller().choice_for(g.node(1)).threads,
-            rt.controller().default_width());
+  const ConcurrencyController c = decide(0);  // neither S1 nor S2
+  EXPECT_EQ(c.choice_for(graph_.node(1)).threads, c.default_width());
 }
 
 TEST_F(ControllerTest, CandidatesComeFromProfileAndAreBounded) {
-  Runtime rt = make_runtime(kStrategyAll);
-  const Graph g = two_instance_graph();
-  rt.profile(g);
-  const auto cands = rt.controller().candidates_for(g.node(1), 3);
+  const auto cands = decide(kStrategyAll).candidates_for(graph_.node(1), 3);
   EXPECT_GE(cands.size(), 1u);
   EXPECT_LE(cands.size(), 3u);
   for (const Candidate& c : cands) {
@@ -104,32 +95,28 @@ TEST_F(ControllerTest, CandidatesComeFromProfileAndAreBounded) {
 }
 
 TEST_F(ControllerTest, SerialTimeLargerThanChosenTime) {
-  Runtime rt = make_runtime(kStrategyAll);
-  const Graph g = two_instance_graph();
-  rt.profile(g);
-  const Node& node = g.node(2);
-  EXPECT_GT(rt.controller().serial_time_ms(node),
-            rt.controller().predicted_time_ms(node));
+  const ConcurrencyController c = decide(kStrategyAll);
+  const Node& node = graph_.node(2);
+  EXPECT_GT(c.serial_time_ms(node), c.choice_for(node).time_ms);
 }
 
 TEST_F(ControllerTest, ProfilingReportCountsUniqueOps) {
-  Runtime rt = make_runtime(kStrategyAll);
-  const Graph g = two_instance_graph();
-  const ProfilingReport report = rt.profile(g);
+  Runtime rt(MachineSpec::knl());
+  const ProfilingReport report = rt.profile(graph_);
   EXPECT_EQ(report.unique_ops, 2u);  // layout op is not profiled
   EXPECT_GT(report.total_samples, 0u);
   // Paper bound: profiling steps <= C/x * 2 (plus patience allowance).
   EXPECT_LE(report.profiling_steps,
             static_cast<std::size_t>(2 * (68 / 4 + 4)));
   // Re-profiling the same graph adds nothing.
-  const ProfilingReport again = rt.profile(g);
+  const ProfilingReport again = rt.profile(graph_);
   EXPECT_EQ(again.unique_ops, 0u);
 }
 
 TEST_F(ControllerTest, ConsolidatedWidthDefaultsWhenUnprofiled) {
-  Runtime rt = make_runtime(kStrategyAll);
-  EXPECT_EQ(rt.controller().consolidated_width(OpKind::kConv2D),
-            rt.controller().default_width());
+  const PerfDatabase empty;
+  const ConcurrencyController c(empty, RuntimeOptions{}, 68, {&graph_});
+  EXPECT_EQ(c.consolidated_width(OpKind::kConv2D), c.default_width());
 }
 
 }  // namespace

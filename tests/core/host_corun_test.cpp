@@ -20,6 +20,9 @@
 namespace opsched {
 namespace {
 
+/// The default width a KNL Runtime gives its policies: the machine's cores.
+const int kKnlCores = static_cast<int>(MachineSpec::knl().num_cores);
+
 /// One adaptive step of `program` alone: the N=1 case of run_step_multi.
 StepResult solo_step(HostCorunExecutor& exec, HostGraphProgram& program) {
   return std::move(
@@ -62,7 +65,7 @@ TEST_F(HostCorunTest, WideLayersCoRunOnAMultiCoreMap) {
   TeamPool pool(4);
   HostCorunOptions host;
   host.cores = 4;
-  HostCorunExecutor exec(rt->controller(), pool, rt->options(), host);
+  HostCorunExecutor exec(rt->database(), kKnlCores, pool, rt->options(), host);
   const StepResult r = solo_step(exec, program);
   EXPECT_EQ(r.ops_run, g.size());
   // The wide backward layers of the CNN must actually co-run.
@@ -146,7 +149,8 @@ TEST_F(HostCorunTest, DispatchBatchWidthsProduceBitIdenticalChecksums) {
     HostCorunOptions host;
     host.cores = 4;
     host.decision_batch = k;
-    HostCorunExecutor exec(rt->controller(), pool, rt->options(), host);
+    HostCorunExecutor exec(rt->database(), kKnlCores, pool,
+                           rt->options(), host);
     const StepResult r = solo_step(exec, program);
     EXPECT_EQ(r.ops_run, g.size());
     EXPECT_DOUBLE_EQ(r.checksum, ref);

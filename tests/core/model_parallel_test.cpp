@@ -6,6 +6,7 @@
 #include <set>
 
 #include "core/cluster.hpp"
+#include "core/concurrency_controller.hpp"
 #include "models/models.hpp"
 
 namespace opsched {
@@ -81,17 +82,22 @@ TEST(ModelParallel, PaperClaimIntraOpControlUnchanged) {
 
   Runtime whole(MachineSpec::knl());
   whole.profile(g);
+  const int width = static_cast<int>(MachineSpec::knl().num_cores);
+  const ConcurrencyController whole_decisions(whole.database(),
+                                              whole.options(), width, {&g});
 
   for (std::size_t w = 0; w < 2; ++w) {
     const Graph& stage = cluster.stages()[w].graph;
+    Runtime& worker = cluster.worker(w);
+    const ConcurrencyController stage_decisions(
+        worker.database(), worker.options(), width, {&stage});
     for (const Node& n : stage.nodes()) {
       if (!op_kind_tunable(n.kind)) continue;
       // Compare per-key S1 decisions (kind consolidation differs when a
       // stage lacks the kind's heaviest instance; the per-key profile is
       // the invariant the paper refers to).
-      const auto c_stage =
-          cluster.worker(w).controller().candidates_for(n, 1);
-      const auto c_whole = whole.controller().candidates_for(n, 1);
+      const auto c_stage = stage_decisions.candidates_for(n, 1);
+      const auto c_whole = whole_decisions.candidates_for(n, 1);
       ASSERT_FALSE(c_stage.empty());
       ASSERT_FALSE(c_whole.empty());
       EXPECT_EQ(c_stage[0].threads, c_whole[0].threads) << n.label;

@@ -18,6 +18,9 @@
 namespace opsched {
 namespace {
 
+/// The default width a KNL Runtime gives its policies: the machine's cores.
+const int kKnlCores = static_cast<int>(MachineSpec::knl().num_cores);
+
 /// One admission decision over `tenants` (the batch-of-one walk).
 std::optional<MultiAdmissionDecision> launch_one(
     AdmissionPolicy& p, const std::vector<TenantReadyView>& tenants, int idle,
@@ -77,7 +80,7 @@ TEST(MultiTenantHostTest, TenantsInterleaveOnAMultiCoreMap) {
   TeamPool pool(4);
   HostCorunOptions host;
   host.cores = 4;
-  HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
+  HostCorunExecutor exec(rt.database(), kKnlCores, pool, rt.options(), host);
   const std::vector<StepResult> r =
       exec.run_step_multi({&pa, &pb}, TenantSet::slots(2));
   ASSERT_EQ(r.size(), 2u);
@@ -142,7 +145,7 @@ TEST(MultiTenantPolicyTest, WeightedDeficitGrantsProportionalShares) {
   const Graph g = build_dcgan(8);
   Runtime rt(MachineSpec::knl());
   rt.profile(g);
-  AdmissionPolicy policy(rt.controller(), rt.options());
+  AdmissionPolicy policy(rt.database(), rt.options(), kKnlCores);
   policy.configure_tenants(TenantSet::slots(2, {1.0, 4.0}));
 
   // Long identical queues of one repeated (deterministic) op.
@@ -172,7 +175,7 @@ TEST(MultiTenantPolicyTest, PerTenantInterferenceRecordsAreIndependent) {
   const Graph g = build_dcgan(8);
   Runtime rt(MachineSpec::knl());
   rt.profile(g);
-  AdmissionPolicy policy(rt.controller(), rt.options());
+  AdmissionPolicy policy(rt.database(), rt.options(), kKnlCores);
   policy.configure_tenants(TenantSet::slots(2));
 
   const OpKey a = OpKey::of(g.node(1));

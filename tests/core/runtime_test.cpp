@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/builder.hpp"
 #include "models/models.hpp"
 
 namespace opsched {
@@ -110,7 +111,16 @@ TEST(Runtime, DefaultWidthIsTheMachinesCores) {
   MachineSpec tiny = MachineSpec::knl();
   tiny.num_cores = 16;
   Runtime rt(tiny);
-  EXPECT_EQ(rt.controller().default_width(), 16);
+  // A layout op runs at the default width. Offered more idle cores than
+  // that, the policy's pick shows the width itself.
+  GraphBuilder gb;
+  gb.source(OpKind::kInputConversion, "in", TensorShape{32, 8, 8, 384});
+  const Graph g = gb.take();
+  const ReadyQueue ready{0};
+  const auto batch =
+      rt.policy().next_launch_batch({{&g, &ready}}, 64, {}, nullptr, 1);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].decision.candidate.threads, 16);
 }
 
 TEST(Runtime, StepResultStatsConsistent) {
@@ -137,7 +147,7 @@ TEST(RuntimeTest, StepRunsOnDecisionsOverTheGraphsItSteps) {
 
   Runtime rt(MachineSpec::knl());
   rt.profile(resnet);
-  rt.profile(lstm);  // builds the decisions over lstm alone
+  rt.profile(lstm);  // adds lstm's curves to the database
   const StepResult got = rt.run_step(resnet);
 
   EXPECT_EQ(got.time_ms, want.time_ms);

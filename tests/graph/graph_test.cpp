@@ -133,6 +133,21 @@ TEST(Graph, RootsAndKindCount) {
   EXPECT_EQ(g.count_kind(OpKind::kMatMul), 0u);
 }
 
+TEST(Graph, UidIsFreshForEveryNewContents) {
+  Graph g;
+  const std::uint64_t empty = g.uid();
+  g.add_node(simple(OpKind::kConv2D));
+  const std::uint64_t one = g.uid();
+  EXPECT_NE(one, empty);
+  const Graph copy = g;  // same nodes, another graph
+  EXPECT_NE(copy.uid(), one);
+  EXPECT_EQ(g.uid(), one);  // unchanged by being copied
+  Graph moved = std::move(g);
+  EXPECT_NE(moved.uid(), one);
+  moved = copy;  // new contents at the same address
+  EXPECT_NE(moved.uid(), copy.uid());
+}
+
 TEST(ReadyTracker, DiamondResolution) {
   Graph g;
   const NodeId a = g.add_node(simple(OpKind::kConv2D));

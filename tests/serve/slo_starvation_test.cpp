@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/admission_policy.hpp"
-#include "core/concurrency_controller.hpp"
 #include "core/runtime.hpp"
 #include "graph/builder.hpp"
 #include "perf/perf_db.hpp"
@@ -75,12 +74,10 @@ class SloFloorsTest : public ::testing::Test {
     tiny.add_sample(AffinityMode::kSpread, 1, 0.5);
     tiny.add_sample(AffinityMode::kSpread, 2, 0.6);
     db_.put(OpKey::of(graph_.node(5)), tiny);
-    controller_.emplace(db_, options_, /*default_width=*/68);
-    controller_->build({&graph_});
   }
 
   AdmissionPolicy make_policy() const {
-    return AdmissionPolicy(*controller_, options_);
+    return AdmissionPolicy(db_, options_, /*default_width=*/68);
   }
 
   /// Two-slot population: slot 0 carries `floor0`, slot 1 `floor1`.
@@ -104,7 +101,6 @@ class SloFloorsTest : public ::testing::Test {
   Graph graph_;
   RuntimeOptions options_;
   PerfDatabase db_;
-  std::optional<ConcurrencyController> controller_;
 };
 
 TEST_F(SloFloorsTest, LatencyTenantIsVisitedBeforeBatch) {

@@ -19,6 +19,9 @@
 namespace opsched {
 namespace {
 
+/// The default width a KNL Runtime gives its policies: the machine's cores.
+const int kKnlCores = static_cast<int>(MachineSpec::knl().num_cores);
+
 /// One adaptive step of `program` alone: the N=1 case of run_step_multi.
 StepResult solo_step(HostCorunExecutor& exec, HostGraphProgram& program) {
   return std::move(
@@ -74,7 +77,8 @@ TEST(GraphFuzzTest, ChecksumsIdenticalAcrossPoliciesAndWidthsOn50Graphs) {
                                     std::size_t{4}}) {
       HostCorunOptions host;
       host.cores = cores;
-      HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
+      HostCorunExecutor exec(rt.database(), kKnlCores, pool,
+                             rt.options(), host);
       const StepResult r = solo_step(exec, program);
       EXPECT_EQ(r.ops_run, g.size());
       EXPECT_DOUBLE_EQ(r.checksum, ref) << "adaptive, " << cores << " cores";
@@ -83,7 +87,7 @@ TEST(GraphFuzzTest, ChecksumsIdenticalAcrossPoliciesAndWidthsOn50Graphs) {
     // Baseline policies on the widest map.
     HostCorunOptions host;
     host.cores = 4;
-    HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
+    HostCorunExecutor exec(rt.database(), kKnlCores, pool, rt.options(), host);
     EXPECT_DOUBLE_EQ(exec.run_step_fifo(program, 2, 2).checksum, ref)
         << "fifo";
     // The recommendation baseline: inter-op 1, intra-op all cores.
@@ -112,7 +116,8 @@ TEST(GraphFuzzTest, ChecksumsIdenticalAcrossDecisionBatchWidths) {
       HostCorunOptions host;
       host.cores = 4;
       host.decision_batch = k;
-      HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
+      HostCorunExecutor exec(rt.database(), kKnlCores, pool,
+                             rt.options(), host);
       const StepResult r = solo_step(exec, program);
       EXPECT_EQ(r.ops_run, g.size());
       EXPECT_DOUBLE_EQ(r.checksum, ref) << "decision_batch " << k;
@@ -134,7 +139,7 @@ TEST(GraphFuzzTest, CoLocatedFuzzTenantsKeepTheirSoloChecksums) {
     TeamPool pool(4);
     HostCorunOptions host;
     host.cores = 4;
-    HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
+    HostCorunExecutor exec(rt.database(), kKnlCores, pool, rt.options(), host);
     const std::vector<StepResult> r =
         exec.run_step_multi({&pa, &pb}, TenantSet::slots(2));
     ASSERT_EQ(r.size(), 2u);
@@ -165,7 +170,8 @@ TEST(GraphFuzzTest, ZooModelsMatchSerialReferenceAcrossPoliciesAndWidths) {
                                     std::size_t{4}}) {
       HostCorunOptions host;
       host.cores = cores;
-      HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
+      HostCorunExecutor exec(rt.database(), kKnlCores, pool,
+                             rt.options(), host);
       const StepResult r = solo_step(exec, program);
       EXPECT_EQ(r.ops_run, g.size());
       EXPECT_DOUBLE_EQ(r.checksum, ref) << "adaptive, " << cores << " cores";
@@ -173,7 +179,7 @@ TEST(GraphFuzzTest, ZooModelsMatchSerialReferenceAcrossPoliciesAndWidths) {
 
     HostCorunOptions host;
     host.cores = 4;
-    HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
+    HostCorunExecutor exec(rt.database(), kKnlCores, pool, rt.options(), host);
     EXPECT_DOUBLE_EQ(exec.run_step_fifo(program, 2, 2).checksum, ref)
         << "fifo";
     // The recommendation baseline: inter-op 1, intra-op all cores.
@@ -201,7 +207,7 @@ TEST(GraphFuzzTest, CoLocatedZooTenantsKeepTheirSoloChecksums) {
   TeamPool pool(4);
   HostCorunOptions host;
   host.cores = 4;
-  HostCorunExecutor exec(rt.controller(), pool, rt.options(), host);
+  HostCorunExecutor exec(rt.database(), kKnlCores, pool, rt.options(), host);
   const std::vector<StepResult> r =
       exec.run_step_multi({&pa, &pb}, TenantSet::slots(2));
   ASSERT_EQ(r.size(), 2u);
